@@ -109,6 +109,9 @@ pub enum Failure {
     RedecodeFailed(String),
     /// The second decode produced a different message.
     NotAFixpoint,
+    /// `encode_into` after existing bytes did not append exactly what
+    /// `encode` returns.
+    EncodeIntoDiverged,
     /// `parse_binary` unwound on a trace-dump mutant.
     TraceParsePanicked,
     /// Parsed fine, re-dumped fine, but the second parse failed.
@@ -133,6 +136,9 @@ impl fmt::Display for Failure {
             Failure::ReencodeFailed(e) => write!(f, "re-encode of decoded message failed: {e}"),
             Failure::RedecodeFailed(e) => write!(f, "decode of re-encoded bytes failed: {e}"),
             Failure::NotAFixpoint => write!(f, "decode(encode(decode(bytes))) differs"),
+            Failure::EncodeIntoDiverged => {
+                write!(f, "encode_into after existing bytes differs from encode")
+            }
             Failure::TraceParsePanicked => write!(f, "trace parse_binary panicked"),
             Failure::TraceReparseFailed(e) => {
                 write!(f, "parse of re-dumped trace bytes failed: {e}")
@@ -352,6 +358,15 @@ fn check_input(bytes: &[u8]) -> Result<bool, Failure> {
         Message::decode(&reencoded).map_err(|e| Failure::RedecodeFailed(e.to_string()))?;
     if again != message {
         return Err(Failure::NotAFixpoint);
+    }
+    // The daemon encodes runs of messages into one buffer; appending
+    // must not depend on, or disturb, what the buffer already holds.
+    let mut appended = bytes.to_vec();
+    if message.encode_into(&mut appended).is_err()
+        || appended[..bytes.len()] != *bytes
+        || appended[bytes.len()..] != reencoded
+    {
+        return Err(Failure::EncodeIntoDiverged);
     }
     Ok(true)
 }

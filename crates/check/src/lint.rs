@@ -52,10 +52,14 @@ const HOT_PATH_CRATES: [&str; 4] = ["wire", "rib", "fib", "telemetry"];
 /// panic aborts a whole grid cell instead of surfacing as a result.
 /// The metrics HTTP endpoint serves requests while a measurement is
 /// live; a panic in its handler kills the serving thread mid-run.
-const HOT_PATH_FILES: [&str; 3] = [
+/// The daemon's core and session loop run under the one core lock,
+/// every message of every peer; a panic there poisons the lock for all.
+const HOT_PATH_FILES: [&str; 5] = [
     "crates/daemon/src/fsm.rs",
     "crates/core/src/policy.rs",
     "crates/daemon/src/http.rs",
+    "crates/daemon/src/core.rs",
+    "crates/daemon/src/session.rs",
 ];
 
 /// Crates allowed to read the host clock.
@@ -587,7 +591,7 @@ impl MetricId {
 
         let mut report = LintReport::default();
         scan_file(
-            "crates/daemon/src/core.rs",
+            "crates/daemon/src/config.rs",
             "fn f() { y.unwrap(); }\n",
             &allow,
             &mut report,
@@ -716,16 +720,17 @@ mod tests {
     }
 
     #[test]
-    fn metrics_http_endpoint_is_a_hot_path_file() {
-        let allow = Allowlist::empty();
-        let mut report = LintReport::default();
-        scan_file(
+    fn daemon_endpoint_core_and_session_are_hot_path_files() {
+        for path in [
             "crates/daemon/src/http.rs",
-            "fn f() { y.unwrap(); }\n",
-            &allow,
-            &mut report,
-        );
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, "no-panic");
+            "crates/daemon/src/core.rs",
+            "crates/daemon/src/session.rs",
+        ] {
+            let allow = Allowlist::empty();
+            let mut report = LintReport::default();
+            scan_file(path, "fn f() { y.unwrap(); }\n", &allow, &mut report);
+            assert_eq!(report.violations.len(), 1, "{path}");
+            assert_eq!(report.violations[0].rule, "no-panic");
+        }
     }
 }

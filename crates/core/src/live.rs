@@ -79,6 +79,18 @@ pub fn run_live_scenario(
     scenario: Scenario,
     config: &LiveConfig,
 ) -> io::Result<ScenarioResult> {
+    run_phases(daemon, scenario, config).map(|(result, _speakers)| result)
+}
+
+/// [`run_live_scenario`], also returning the speakers with their
+/// sessions still up: until they are dropped, the daemon's counters
+/// show the measured phases alone, with no teardown fallout (a dropped
+/// Speaker 2 hands its prefixes back to Speaker 1's routes).
+fn run_phases(
+    daemon: &BgpDaemon,
+    scenario: Scenario,
+    config: &LiveConfig,
+) -> io::Result<(ScenarioResult, (LiveSpeaker, Option<LiveSpeaker>))> {
     let mut source = match scenario.workload() {
         WorkloadKind::Classic => WorkloadSpec::Classic,
         WorkloadKind::Modern => WorkloadSpec::Modern,
@@ -92,6 +104,7 @@ pub fn run_live_scenario(
     let handshake = Duration::from_secs(10);
 
     let mut speaker1 = LiveSpeaker::connect(addr, &speaker_config(65001, 0x0A00_0002), handshake)?;
+    let mut second = None;
     let base_spec = workload::AnnounceSpec {
         speaker_asn: Asn(65001),
         path_len: 3,
@@ -128,8 +141,11 @@ pub fn run_live_scenario(
             speaker1.flood(&source.announcements(&table, &base_spec))?;
             wait_transactions(daemon, n, config.phase_timeout)?;
             // Phase 2: speaker 2 connects and receives the table.
-            let mut speaker2 =
-                LiveSpeaker::connect(addr, &speaker_config(65002, 0x0A00_0003), handshake)?;
+            let speaker2 = second.insert(LiveSpeaker::connect(
+                addr,
+                &speaker_config(65002, 0x0A00_0003),
+                handshake,
+            )?);
             speaker2.collect_routes_until(table.len(), 0, config.phase_timeout)?;
             // Phase 3: speaker 2 announces the same prefixes with a
             // longer (losing) or shorter (winning) path.
@@ -185,7 +201,7 @@ pub fn run_live_scenario(
         }
     };
 
-    Ok(ScenarioResult {
+    let result = ScenarioResult {
         scenario,
         platform: "live daemon",
         transactions,
@@ -195,7 +211,8 @@ pub fn run_live_scenario(
         // The live daemon runs on host time; there is no simulator
         // clock to count.
         virtual_ticks: 0,
-    })
+    };
+    Ok((result, (speaker1, second)))
 }
 
 #[cfg(test)]
@@ -232,7 +249,7 @@ mod tests {
     #[test]
     fn live_scenario_6_no_fib_change() {
         let daemon = BgpDaemon::start(DaemonConfig::default()).unwrap();
-        let result = run_live_scenario(&daemon, Scenario::S6, &quick_config()).unwrap();
+        let (result, _speakers) = run_phases(&daemon, Scenario::S6, &quick_config()).unwrap();
         assert!(result.completed);
         let snapshot = daemon.snapshot();
         // Phase 3 must not have touched the FIB beyond phase 1.
@@ -243,7 +260,7 @@ mod tests {
     #[test]
     fn live_scenario_8_fib_change() {
         let daemon = BgpDaemon::start(DaemonConfig::default()).unwrap();
-        let result = run_live_scenario(&daemon, Scenario::S8, &quick_config()).unwrap();
+        let (result, _speakers) = run_phases(&daemon, Scenario::S8, &quick_config()).unwrap();
         assert!(result.completed);
         let snapshot = daemon.snapshot();
         // Phase 3 replaced every route: installs from phase 1 plus the

@@ -6,20 +6,40 @@
 //! — the same serialization point the `xorp_rib` process provides in
 //! the paper's software routers.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use crossbeam::channel::Sender;
 
 use bgpbench_fib::{Fib, NextHop};
+use bgpbench_rib::fxhash::FxHashMap;
 use bgpbench_rib::{
-    AdjRibOut, ExportAction, FibDirective, PeerId, PeerInfo, RibEngine, RibStats, RouteAttributes,
+    AdjRibOut, ExportAction, FibDirective, OutboundUpdate, PeerId, PeerInfo, RibEngine, RibError,
+    RibStats, RouteAttributes,
 };
 use bgpbench_telemetry::{self as telemetry, EventKind, MetricId, SpanId};
-use bgpbench_wire::{Message, Prefix, UpdateMessage};
+use bgpbench_wire::{Prefix, UpdateMessage};
 
 use crate::DaemonConfig;
+
+/// Staged output is handed to a peer's writer once it reaches this
+/// size, without waiting for the batch to end, so table dumps, teardown
+/// fallout and long bursts stream out in pieces instead of piling up
+/// under the lock. It sits a little above one 16 KiB socket read on
+/// purpose: re-advertisement runs a few percent larger than its input
+/// (our AS is prepended), and a flooded session should still flush once
+/// per read, not once plus a sliver.
+const FLUSH_BYTES: usize = 20 * 1024;
+
+/// An UPDATE carrying at least this many prefixes has what it staged
+/// flushed as soon as it is applied. Holding output buys one thing: the
+/// cost of a flush (a channel send, a thread wake, a `write`) is shared
+/// by the UPDATEs behind it. A large UPDATE has already spread that cost
+/// over its prefixes, and held back it would only wait out the
+/// processing of whatever else the read delivered — a few more large
+/// UPDATEs' worth of time, which a peer measuring propagation sees.
+const EAGER_FLUSH_TRANSACTIONS: usize = 32;
 
 /// Counters the daemon exposes in snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -48,16 +68,97 @@ pub struct PeerSnapshot {
     pub prefixes_out: u64,
 }
 
+/// Everything the core keeps about one established session.
+#[derive(Debug)]
+struct Peer {
+    adj_out: AdjRibOut,
+    writer: Sender<Vec<u8>>,
+    stats: PeerSnapshot,
+    /// Encoded UPDATEs not yet handed to `writer`. Empty whenever the
+    /// core lock is free: whoever stages flushes before releasing it.
+    staged: Vec<u8>,
+}
+
+impl Peer {
+    /// Packetizes `actions` and encodes the UPDATEs onto `staged`.
+    fn stage(&mut self, actions: &[ExportAction], max_prefixes_per_update: usize) {
+        let before = self.stats.updates_out;
+        AdjRibOut::packetize(actions, max_prefixes_per_update, |update| {
+            self.stage_update(update);
+        });
+        telemetry::add(MetricId::DaemonUpdatesSent, self.stats.updates_out - before);
+    }
+
+    fn stage_update(&mut self, update: OutboundUpdate<'_>) {
+        // An UPDATE too long for one message (a packet-size limit the
+        // attributes leave no room for) is not sent.
+        if update.encode_into(&mut self.staged).is_err() {
+            return;
+        }
+        self.stats.updates_out += 1;
+        self.stats.prefixes_out += update.transaction_count() as u64;
+        if self.staged.len() >= FLUSH_BYTES {
+            self.flush();
+        }
+    }
+
+    /// Hands everything staged to the writer as one buffer, hence one
+    /// channel send and one `write`.
+    fn flush(&mut self) {
+        if self.staged.is_empty() {
+            return;
+        }
+        // A disconnected writer means the session died; its session
+        // thread will unregister it, and the bytes have nowhere to go.
+        let _ = self.writer.send(self.staged.as_slice().to_vec());
+        self.staged.clear();
+    }
+}
+
 #[derive(Debug)]
 pub(crate) struct Core {
     config: DaemonConfig,
     engine: RibEngine,
     fib: Fib,
-    adj_out: HashMap<PeerId, AdjRibOut>,
-    writers: HashMap<PeerId, Sender<Vec<u8>>>,
-    peer_stats: HashMap<PeerId, PeerSnapshot>,
+    peers: BTreeMap<PeerId, Peer>,
     next_peer: u32,
     stats: CoreStats,
+}
+
+/// A run of input handled under one hold of the core lock. Output it
+/// causes is staged per peer and flushed when the batch is dropped, so
+/// the lock cannot be released with bytes still staged.
+pub(crate) struct Batch<'a> {
+    core: &'a mut Core,
+}
+
+impl Batch<'_> {
+    /// Applies one UPDATE from `peer`: RIB processing, FIB writes, and
+    /// propagation to every other established session.
+    ///
+    /// # Errors
+    ///
+    /// The engine's rejection of the UPDATE (RFC 4271 §6.3); nothing
+    /// was applied, and the session layer owes the peer a NOTIFICATION.
+    pub(crate) fn apply_update(
+        &mut self,
+        peer: PeerId,
+        update: &UpdateMessage,
+    ) -> Result<(), RibError> {
+        self.core.apply_update_from(peer, update)
+    }
+
+    /// Handles a ROUTE-REFRESH request (RFC 2918): resets the peer's
+    /// Adj-RIB-Out and re-advertises the full table.
+    pub(crate) fn refresh(&mut self, peer: PeerId) {
+        self.core.advertise_table(peer);
+    }
+}
+
+impl Drop for Batch<'_> {
+    fn drop(&mut self) {
+        self.core.flush();
+    }
 }
 
 impl Core {
@@ -67,9 +168,7 @@ impl Core {
             config,
             engine,
             fib: Fib::new(),
-            adj_out: HashMap::new(),
-            writers: HashMap::new(),
-            peer_stats: HashMap::new(),
+            peers: BTreeMap::new(),
             next_peer: 1,
             stats: CoreStats::default(),
         }
@@ -79,8 +178,13 @@ impl Core {
         &self.config
     }
 
+    /// Opens a batch; see [`Batch`].
+    pub(crate) fn batch(&mut self) -> Batch<'_> {
+        Batch { core: self }
+    }
+
     /// Registers an established session: adds the peer to the engine,
-    /// stores its writer, and stages the initial full-table
+    /// stores its writer, and sends the initial full-table
     /// advertisement (Phase 2 of the benchmark methodology).
     pub(crate) fn register_peer(
         &mut self,
@@ -93,12 +197,7 @@ impl Core {
         self.next_peer += 1;
         self.engine
             .add_peer(PeerInfo::new(id, asn, router_id, address));
-        let mut adj_out = AdjRibOut::new();
-        let routes = self.engine.export_routes(id, self.config.next_hop);
-        let actions = adj_out.sync(routes);
-        let updates = AdjRibOut::to_updates(&actions, self.config.export_prefixes_per_update);
-        telemetry::add(MetricId::DaemonUpdatesSent, updates.len() as u64);
-        let mut snapshot = PeerSnapshot {
+        let stats = PeerSnapshot {
             peer: id,
             asn,
             address,
@@ -107,14 +206,17 @@ impl Core {
             updates_out: 0,
             prefixes_out: 0,
         };
-        for update in updates {
-            snapshot.updates_out += 1;
-            snapshot.prefixes_out += update.transaction_count() as u64;
-            send_update(&writer, &update);
-        }
-        self.peer_stats.insert(id, snapshot);
-        self.adj_out.insert(id, adj_out);
-        self.writers.insert(id, writer);
+        self.peers.insert(
+            id,
+            Peer {
+                adj_out: AdjRibOut::new(),
+                writer,
+                stats,
+                staged: Vec::new(),
+            },
+        );
+        self.advertise_table(id);
+        self.flush();
         telemetry::incr(MetricId::SessionsOpened);
         telemetry::event(EventKind::SessionUp, u64::from(id.0), u64::from(asn.0));
         id
@@ -123,47 +225,41 @@ impl Core {
     /// Tears a session down: withdraws everything learned from the
     /// peer and propagates the fallout to the remaining peers.
     pub(crate) fn unregister_peer(&mut self, peer: PeerId) {
-        if self.writers.remove(&peer).is_some() {
+        if self.peers.remove(&peer).is_some() {
             telemetry::incr(MetricId::SessionsClosed);
             telemetry::event(EventKind::SessionDown, u64::from(peer.0), 0);
         }
-        self.adj_out.remove(&peer);
-        self.peer_stats.remove(&peer);
         if let Ok(outcomes) = self.engine.remove_peer(peer) {
-            let prefixes: Vec<Prefix> = outcomes.iter().map(|o| o.prefix).collect();
             {
                 let _span = telemetry::span(SpanId::FibApply);
                 for outcome in &outcomes {
                     self.apply_fib(outcome.fib);
                 }
             }
-            self.propagate(&prefixes);
+            self.propagate(outcomes.iter().map(|o| o.prefix));
+            self.flush();
         }
     }
 
-    /// Applies one UPDATE from `peer`: RIB processing, FIB writes, and
-    /// propagation to every other established session.
-    pub(crate) fn apply_update_from(&mut self, peer: PeerId, update: &UpdateMessage) {
-        let Ok(outcomes) = self.engine.apply_update(peer, update) else {
-            // Malformed-by-content updates (missing mandatory
-            // attributes) are counted but do not tear the core down;
-            // the session layer sends the NOTIFICATION.
-            return;
-        };
+    fn apply_update_from(&mut self, peer: PeerId, update: &UpdateMessage) -> Result<(), RibError> {
+        let outcomes = self.engine.apply_update(peer, update)?;
         self.stats.updates_received += 1;
         self.stats.transactions += outcomes.len() as u64;
-        if let Some(peer_stats) = self.peer_stats.get_mut(&peer) {
-            peer_stats.updates_in += 1;
-            peer_stats.prefixes_in += outcomes.len() as u64;
+        if let Some(peer) = self.peers.get_mut(&peer) {
+            peer.stats.updates_in += 1;
+            peer.stats.prefixes_in += outcomes.len() as u64;
         }
-        let prefixes: Vec<Prefix> = outcomes.iter().map(|o| o.prefix).collect();
         {
             let _span = telemetry::span(SpanId::FibApply);
             for outcome in &outcomes {
                 self.apply_fib(outcome.fib);
             }
         }
-        self.propagate(&prefixes);
+        self.propagate(outcomes.iter().map(|o| o.prefix));
+        if outcomes.len() >= EAGER_FLUSH_TRANSACTIONS {
+            self.flush();
+        }
+        Ok(())
     }
 
     fn apply_fib(&mut self, directive: Option<FibDirective>) {
@@ -181,25 +277,26 @@ impl Core {
     }
 
     /// Re-syncs the advertisement state of `prefixes` toward every
-    /// established peer and sends the resulting UPDATEs.
-    fn propagate(&mut self, prefixes: &[Prefix]) {
+    /// established peer and stages the resulting UPDATEs.
+    fn propagate(&mut self, prefixes: impl Iterator<Item = Prefix> + Clone) {
         let _span = telemetry::span(SpanId::DaemonPropagate);
         telemetry::incr(MetricId::DaemonPropagateRounds);
-        let peer_ids: Vec<PeerId> = self.writers.keys().copied().collect();
         // The exported form of an attribute set is peer-independent
         // (own AS prepended, next hop rewritten), and the engine interns
         // attribute sets, so one cache keyed on pointer identity covers
         // every prefix and every peer in this propagation round. This
         // also keeps Adj-RIB-Out grouping on the pointer fast path.
-        let mut exported: HashMap<*const RouteAttributes, Arc<RouteAttributes>> = HashMap::new();
-        for peer in peer_ids {
-            let mut actions: Vec<ExportAction> = Vec::new();
-            for prefix in prefixes {
-                let desired = self.engine.loc_rib().get(prefix).and_then(|route| {
-                    if route.learned_from() == peer {
+        let mut exported: FxHashMap<*const RouteAttributes, Arc<RouteAttributes>> =
+            FxHashMap::default();
+        let mut actions: Vec<ExportAction> = Vec::new();
+        for (&id, peer) in &mut self.peers {
+            actions.clear();
+            for prefix in prefixes.clone() {
+                let desired = self.engine.loc_rib().get(&prefix).and_then(|route| {
+                    if route.learned_from() == id {
                         None // never advertise a route back to its source
                     } else {
-                        Some(
+                        Some(Arc::clone(
                             exported
                                 .entry(Arc::as_ptr(route.attrs()))
                                 .or_insert_with(|| {
@@ -208,79 +305,54 @@ impl Core {
                                             .attrs()
                                             .exported(self.config.local_asn, self.config.next_hop),
                                     )
-                                })
-                                .clone(),
-                        )
+                                }),
+                        ))
                     }
                 });
-                let adj_out = self.adj_out.get_mut(&peer).expect("writer implies adj_out");
-                if let Some(action) = adj_out.sync_prefix(*prefix, desired) {
-                    actions.push(action);
-                }
+                actions.extend(peer.adj_out.sync_prefix(prefix, desired));
             }
-            if actions.is_empty() {
-                continue;
-            }
-            let updates = AdjRibOut::to_updates(&actions, self.config.export_prefixes_per_update);
-            telemetry::add(MetricId::DaemonUpdatesSent, updates.len() as u64);
-            let writer = &self.writers[&peer];
-            for update in &updates {
-                send_update(writer, update);
-            }
-            if let Some(peer_stats) = self.peer_stats.get_mut(&peer) {
-                peer_stats.updates_out += updates.len() as u64;
-                peer_stats.prefixes_out += updates
-                    .iter()
-                    .map(|u| u.transaction_count() as u64)
-                    .sum::<u64>();
+            if !actions.is_empty() {
+                peer.stage(&actions, self.config.export_prefixes_per_update);
             }
         }
     }
 
-    /// Handles a ROUTE-REFRESH request (RFC 2918): resets the peer's
-    /// Adj-RIB-Out and re-advertises the full table.
-    pub(crate) fn refresh_peer(&mut self, peer: PeerId) {
-        let Some(writer) = self.writers.get(&peer).cloned() else {
+    /// Resets `peer`'s Adj-RIB-Out and stages the full table toward it.
+    fn advertise_table(&mut self, id: PeerId) {
+        let Some(peer) = self.peers.get_mut(&id) else {
             return;
         };
-        let routes = self.engine.export_routes(peer, self.config.next_hop);
-        let adj_out = self.adj_out.get_mut(&peer).expect("writer implies adj_out");
-        *adj_out = AdjRibOut::new();
-        let actions = adj_out.sync(routes);
-        let updates = AdjRibOut::to_updates(&actions, self.config.export_prefixes_per_update);
-        telemetry::add(MetricId::DaemonUpdatesSent, updates.len() as u64);
-        for update in updates {
-            send_update(&writer, &update);
+        let routes = self.engine.export_routes(id, self.config.next_hop);
+        peer.adj_out = AdjRibOut::new();
+        let actions = peer.adj_out.sync(routes);
+        peer.stage(&actions, self.config.export_prefixes_per_update);
+    }
+
+    fn flush(&mut self) {
+        for peer in self.peers.values_mut() {
+            peer.flush();
         }
     }
 
     pub(crate) fn established_sessions(&self) -> usize {
-        self.writers.len()
+        self.peers.len()
     }
 
-    /// Whether `peer` still has an established session (a live writer).
+    /// Whether `peer` still has an established session.
     pub(crate) fn is_registered(&self, peer: PeerId) -> bool {
-        self.writers.contains_key(&peer)
+        self.peers.contains_key(&peer)
     }
 
     pub(crate) fn peer_snapshot(&self, peer: PeerId) -> Option<PeerSnapshot> {
-        self.peer_stats.get(&peer).cloned()
+        self.peers.get(&peer).map(|peer| peer.stats.clone())
     }
 
     pub(crate) fn peer_ids(&self) -> Vec<PeerId> {
-        let mut ids: Vec<PeerId> = self.peer_stats.keys().copied().collect();
-        ids.sort();
-        ids
+        self.peers.keys().copied().collect()
     }
 
     pub(crate) fn peer_snapshots(&self) -> Vec<PeerSnapshot> {
-        let mut peers: Vec<(PeerId, PeerSnapshot)> = self
-            .peer_stats
-            .iter()
-            .map(|(id, snapshot)| (*id, snapshot.clone()))
-            .collect();
-        peers.sort_by_key(|(id, _)| *id);
-        peers.into_iter().map(|(_, snapshot)| snapshot).collect()
+        self.peers.values().map(|peer| peer.stats.clone()).collect()
     }
 
     pub(crate) fn loc_rib_len(&self) -> usize {
@@ -300,10 +372,110 @@ impl Core {
     }
 }
 
-fn send_update(writer: &Sender<Vec<u8>>, update: &UpdateMessage) {
-    if let Ok(bytes) = Message::Update(update.clone()).encode() {
-        // A disconnected writer means the session died; the session
-        // thread will unregister it.
-        let _ = writer.send(bytes);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bgpbench_wire::{AsPath, Asn, Message, Origin, PathAttribute, RouterId};
+    use crossbeam::channel::{unbounded, Receiver};
+
+    fn register(core: &mut Core, asn: u16) -> (PeerId, Receiver<Vec<u8>>) {
+        let (tx, rx) = unbounded();
+        let id = core.register_peer(Asn(asn), RouterId(u32::from(asn)), Ipv4Addr::LOCALHOST, tx);
+        (id, rx)
+    }
+
+    /// The `n`th /32 under 11.0.0.0/8.
+    fn host(n: u32) -> Prefix {
+        Prefix::new_masked(Ipv4Addr::from(0x0B00_0000 | n), 32).unwrap()
+    }
+
+    /// One UPDATE announcing the given hosts.
+    fn announce(hosts: std::ops::Range<u32>) -> UpdateMessage {
+        UpdateMessage::builder()
+            .attribute(PathAttribute::Origin(Origin::Igp))
+            .attribute(PathAttribute::AsPath(AsPath::from_sequence([Asn(65001)])))
+            .attribute(PathAttribute::NextHop(Ipv4Addr::new(127, 0, 0, 1)))
+            .announce_all(hosts.map(host))
+            .build()
+    }
+
+    /// The prefixes announced in a buffer handed to a writer.
+    fn announced(delivered: &[u8]) -> Vec<Prefix> {
+        let mut decoder = bgpbench_wire::StreamDecoder::new();
+        decoder.extend(delivered);
+        let messages = decoder.drain().unwrap();
+        messages
+            .iter()
+            .flat_map(|message| match message {
+                Message::Update(update) => update.nlri().to_vec(),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    fn staged(core: &Core, peer: PeerId) -> usize {
+        core.peers[&peer].staged.len()
+    }
+
+    #[test]
+    fn a_batch_reaches_each_live_writer_as_one_buffer_and_skips_a_dead_one() {
+        let mut core = Core::new(DaemonConfig::default());
+        let (source, source_rx) = register(&mut core, 65001);
+        let (dead, dead_rx) = register(&mut core, 65002);
+        let (live, live_rx) = register(&mut core, 65003);
+
+        {
+            let mut batch = core.batch();
+            batch.apply_update(source, &announce(1..2)).unwrap();
+            // Nothing leaves before the batch ends.
+            assert!(live_rx.try_recv().is_err());
+            assert!(staged(batch.core, dead) > 0);
+            // The peer's writer goes away mid-batch ...
+            drop(dead_rx);
+            batch.apply_update(source, &announce(2..3)).unwrap();
+        }
+
+        // ... so its bytes are dropped, not kept, while the other peer
+        // gets both UPDATEs in arrival order as one buffer.
+        assert_eq!(staged(&core, dead), 0);
+        assert_eq!(staged(&core, live), 0);
+        let delivered = live_rx.try_recv().expect("one buffer per batch");
+        assert!(live_rx.try_recv().is_err(), "exactly one buffer");
+        assert_eq!(announced(&delivered), [host(1), host(2)]);
+        // A route is never advertised back to its source.
+        assert!(source_rx.try_recv().is_err());
+        assert_eq!(core.peer_snapshot(live).unwrap().updates_out, 2);
+    }
+
+    #[test]
+    fn a_large_update_is_flushed_as_soon_as_it_is_applied() {
+        let mut core = Core::new(DaemonConfig::default());
+        let (source, _source_rx) = register(&mut core, 65001);
+        let (_, live_rx) = register(&mut core, 65003);
+        let mut batch = core.batch();
+        // Small UPDATEs wait for the batch to end ...
+        batch.apply_update(source, &announce(0..1)).unwrap();
+        assert!(live_rx.try_recv().is_err());
+        // ... a large one takes them along at once, mid-batch.
+        let large = 1 + EAGER_FLUSH_TRANSACTIONS as u32;
+        batch.apply_update(source, &announce(1..large)).unwrap();
+        let delivered = live_rx.try_recv().expect("flushed mid-batch");
+        assert_eq!(announced(&delivered).len(), large as usize);
+    }
+
+    #[test]
+    fn staged_output_streams_out_once_it_passes_the_threshold() {
+        let mut core = Core::new(DaemonConfig::default());
+        let (source, _source_rx) = register(&mut core, 65001);
+        let (_, live_rx) = register(&mut core, 65003);
+        let mut batch = core.batch();
+        // Mid-batch: the lock (here, the batch) is still held.
+        let first = (0..10_000)
+            .find_map(|n| {
+                batch.apply_update(source, &announce(n..n + 1)).unwrap();
+                live_rx.try_recv().ok()
+            })
+            .expect("the threshold never triggered");
+        assert!(first.len() >= FLUSH_BYTES && first.len() < FLUSH_BYTES + 4096);
     }
 }

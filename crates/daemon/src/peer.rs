@@ -41,7 +41,8 @@ pub trait PeerHandle {
     fn counters(&self) -> PeerCounters;
 
     /// Injects one UPDATE as if received from this peer. Returns
-    /// `false` when the session cannot accept input (not Established).
+    /// `false` when the session cannot accept input (not Established)
+    /// or the UPDATE is rejected.
     fn inject(&mut self, update: &UpdateMessage) -> bool;
 }
 
@@ -95,7 +96,7 @@ impl PeerHandle for DaemonPeerHandle {
         if !core.is_registered(self.peer) {
             return false;
         }
-        core.apply_update_from(self.peer, update);
-        true
+        let applied = core.batch().apply_update(self.peer, update);
+        applied.is_ok()
     }
 }

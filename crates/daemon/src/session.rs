@@ -1,6 +1,6 @@
 //! Per-session finite state machine (RFC 4271 §8, passive side).
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -10,12 +10,12 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::Mutex;
 
-use bgpbench_rib::PeerId;
+use bgpbench_rib::{PeerId, RibError};
 use bgpbench_wire::{
     ErrorCode, Message, NotificationMessage, OpenMessage, StreamDecoder, WireError,
 };
 
-use crate::core::Core;
+use crate::core::{Batch, Core};
 
 /// Observable states of a daemon session.
 ///
@@ -75,10 +75,9 @@ fn session_loop(
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_millis(50)))?;
     let mut decoder = StreamDecoder::new();
-    let mut state = SessionState::Active;
 
     // --- Handshake: wait for OPEN, answer OPEN + KEEPALIVE, wait for
-    // KEEPALIVE.
+    // KEEPALIVE. Holding the peer's OPEN is the OpenConfirm state.
     let local_open = {
         let core = core.lock();
         let config = core.config();
@@ -86,8 +85,8 @@ fn session_loop(
             .with_capability(bgpbench_wire::Capability::RouteRefresh)
     };
     let deadline = Instant::now() + Duration::from_secs(30);
-    let mut peer_open: Option<OpenMessage> = None;
-    while state != SessionState::Established {
+    let mut confirmed: Option<OpenMessage> = None;
+    let peer_open = loop {
         if shutdown.load(Ordering::Relaxed) || Instant::now() > deadline {
             send_now(
                 &mut stream,
@@ -95,18 +94,15 @@ fn session_loop(
             )?;
             return Ok(());
         }
-        match read_message(&mut stream, &mut decoder) {
-            Ok(Some(Message::Open(open))) if state == SessionState::Active => {
+        match (read_message(&mut stream, &mut decoder), confirmed.take()) {
+            (Ok(Some(Message::Open(open))), None) => {
                 send_now(&mut stream, &Message::Open(local_open.clone()))?;
                 send_now(&mut stream, &Message::Keepalive)?;
-                peer_open = Some(open);
-                state = SessionState::OpenConfirm;
+                confirmed = Some(open);
             }
-            Ok(Some(Message::Keepalive)) if state == SessionState::OpenConfirm => {
-                state = SessionState::Established;
-            }
-            Ok(Some(Message::Notification(_))) => return Ok(()),
-            Ok(Some(_)) => {
+            (Ok(Some(Message::Keepalive)), Some(open)) => break open,
+            (Ok(Some(Message::Notification(_))), _) => return Ok(()),
+            (Ok(Some(_)), _) => {
                 // UPDATE before establishment, or OPEN in the wrong
                 // state: FSM error.
                 send_now(
@@ -118,18 +114,17 @@ fn session_loop(
                 )?;
                 return Ok(());
             }
-            Ok(None) => {}
-            Err(err) if err.kind() == io::ErrorKind::InvalidData => {
+            (Ok(None), open) => confirmed = open,
+            (Err(err), _) if err.kind() == io::ErrorKind::InvalidData => {
                 send_now(
                     &mut stream,
                     &Message::Notification(classify_wire_error(&err)),
                 )?;
                 return Ok(());
             }
-            Err(err) => return Err(err),
+            (Err(err), _) => return Err(err),
         }
-    }
-    let peer_open = peer_open.expect("established implies OPEN received");
+    };
     let negotiated_hold = effective_hold(local_open.hold_time_secs(), peer_open.hold_time_secs());
     // Our keepalive interval: the configured value, never slower than
     // a third of the negotiated hold time.
@@ -185,6 +180,7 @@ fn established_loop(
 ) -> io::Result<()> {
     let mut last_received = Instant::now();
     let mut last_sent = Instant::now();
+    let mut inbox: Vec<Message> = Vec::new();
     loop {
         if shutdown.load(Ordering::Relaxed) {
             let note = NotificationMessage::new(ErrorCode::Cease, 0);
@@ -202,32 +198,77 @@ fn established_loop(
                 last_sent = Instant::now();
             }
         }
-        match read_message(stream, decoder) {
-            Ok(Some(Message::Update(update))) => {
-                last_received = Instant::now();
-                core.lock().apply_update_from(peer_id, &update);
+        // Everything the last read delivered is decoded before the lock
+        // is taken, then applied in arrival order under one hold of it.
+        let decoded = drain(decoder, &mut inbox);
+        if inbox.is_empty() && decoded.is_ok() {
+            match fill(stream, decoder) {
+                Err(err) if err.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
+                other => other?,
             }
-            Ok(Some(Message::Keepalive)) => last_received = Instant::now(),
-            Ok(Some(Message::RouteRefresh { .. })) => {
-                last_received = Instant::now();
-                core.lock().refresh_peer(peer_id);
-            }
-            Ok(Some(Message::Notification(_))) => return Ok(()),
-            Ok(Some(Message::Open(_))) => {
-                let note = NotificationMessage::new(ErrorCode::FiniteStateMachineError, 0);
+            continue;
+        }
+        last_received = Instant::now();
+        // Leaving this block drops the batch, which flushes what it
+        // staged — also what the UPDATEs ahead of a rejected one staged
+        // — before the lock goes and before a NOTIFICATION is queued.
+        let handled = {
+            let mut core = core.lock();
+            let mut batch = core.batch();
+            inbox
+                .drain(..)
+                .try_for_each(|message| handle(&mut batch, peer_id, message))
+        };
+        let ended = handled.and_then(|()| {
+            decoded.map_err(|_| {
+                SessionEnd::Notify(NotificationMessage::new(ErrorCode::UpdateMessageError, 0))
+            })
+        });
+        match ended {
+            Ok(()) => {}
+            Err(SessionEnd::PeerClosed) => return Ok(()),
+            Err(SessionEnd::Notify(note)) => {
                 queue(tx, &Message::Notification(note));
                 return Ok(());
             }
-            Ok(None) => {}
-            Err(err) if err.kind() == io::ErrorKind::InvalidData => {
-                let note = NotificationMessage::new(ErrorCode::UpdateMessageError, 0);
-                queue(tx, &Message::Notification(note));
-                return Ok(());
-            }
-            Err(err) if err.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(err) => return Err(err),
         }
     }
+}
+
+/// Why an established session stops reading.
+enum SessionEnd {
+    /// The peer sent a NOTIFICATION.
+    PeerClosed,
+    /// We owe the peer this NOTIFICATION.
+    Notify(NotificationMessage),
+}
+
+/// Handles one message of an established session inside `batch`.
+fn handle(batch: &mut Batch<'_>, peer_id: PeerId, message: Message) -> Result<(), SessionEnd> {
+    match message {
+        Message::Update(update) => batch
+            .apply_update(peer_id, &update)
+            .map_err(|err| SessionEnd::Notify(classify_update_error(&err))),
+        Message::Keepalive => Ok(()),
+        Message::RouteRefresh { .. } => {
+            batch.refresh(peer_id);
+            Ok(())
+        }
+        Message::Notification(_) => Err(SessionEnd::PeerClosed),
+        Message::Open(_) => Err(SessionEnd::Notify(NotificationMessage::new(
+            ErrorCode::FiniteStateMachineError,
+            0,
+        ))),
+    }
+}
+
+/// Moves every complete buffered message into `inbox`. On a wire error
+/// the messages ahead of it are still delivered.
+fn drain(decoder: &mut StreamDecoder, inbox: &mut Vec<Message>) -> Result<(), WireError> {
+    while let Some(message) = decoder.next_message()? {
+        inbox.push(message);
+    }
+    Ok(())
 }
 
 fn writer_loop(mut stream: TcpStream, rx: Receiver<Vec<u8>>) {
@@ -255,30 +296,47 @@ fn read_message(
     stream: &mut TcpStream,
     decoder: &mut StreamDecoder,
 ) -> io::Result<Option<Message>> {
-    if let Some(message) = decoder
-        .next_message()
-        .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))?
-    {
+    let next = |decoder: &mut StreamDecoder| {
+        decoder
+            .next_message()
+            .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))
+    };
+    if let Some(message) = next(decoder)? {
         return Ok(Some(message));
     }
-    let mut buf = [0u8; 16 * 1024];
-    match stream.read(&mut buf) {
+    fill(stream, decoder)?;
+    next(decoder)
+}
+
+/// One socket read, straight into the decoder's buffer. A read that
+/// times out with nothing received is not an error.
+fn fill(stream: &mut TcpStream, decoder: &mut StreamDecoder) -> io::Result<()> {
+    match decoder.read_from(stream) {
         Ok(0) => Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "peer closed the session",
         )),
-        Ok(n) => {
-            decoder.extend(&buf[..n]);
-            decoder
-                .next_message()
-                .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))
-        }
+        Ok(_) => Ok(()),
         Err(err)
             if err.kind() == io::ErrorKind::WouldBlock || err.kind() == io::ErrorKind::TimedOut =>
         {
-            Ok(None)
+            Ok(())
         }
         Err(err) => Err(err),
+    }
+}
+
+/// Maps the engine's rejection of an UPDATE onto the NOTIFICATION RFC
+/// 4271 §6.3 prescribes: a missing well-known attribute is subcode 3
+/// with the attribute's type code as data.
+fn classify_update_error(err: &RibError) -> NotificationMessage {
+    match err {
+        RibError::MissingMandatoryAttribute { type_code, .. } => {
+            NotificationMessage::with_data(ErrorCode::UpdateMessageError, 3, vec![*type_code])
+        }
+        RibError::UnknownPeer(_) | RibError::DuplicatePeer(_) => {
+            NotificationMessage::new(ErrorCode::UpdateMessageError, 0)
+        }
     }
 }
 

@@ -178,6 +178,91 @@ fn unsupported_bgp_version_gets_the_rfc_subcode() {
     daemon.shutdown();
 }
 
+/// An UPDATE the RIB rejects (no NEXT_HOP) must earn the sender an
+/// UPDATE Message Error and end its session — not be dropped silently —
+/// and what the UPDATEs ahead of it in the same socket read caused must
+/// still go out first.
+#[test]
+fn update_missing_next_hop_is_notified_after_the_batch_ahead_of_it() {
+    use bgpbench_wire::{AsPath, Origin, PathAttribute, Prefix, UpdateMessage};
+
+    let daemon = BgpDaemon::start(DaemonConfig::default()).unwrap();
+    let connect = |asn: u16, id: u32| {
+        LiveSpeaker::connect(
+            daemon.local_addr(),
+            &LiveSpeakerConfig {
+                local_asn: Asn(asn),
+                router_id: RouterId(id),
+                hold_time_secs: 90,
+            },
+            Duration::from_secs(5),
+        )
+        .unwrap()
+    };
+    let mut observer = connect(65002, 0x0A00_0003);
+    assert!(wait_sessions(&daemon, 1, Duration::from_secs(5)));
+    let mut sender = connect(65001, 0x0A00_0002);
+    assert!(wait_sessions(&daemon, 2, Duration::from_secs(5)));
+
+    let good: Vec<Prefix> = vec![
+        "10.1.0.0/16".parse().unwrap(),
+        "10.2.0.0/16".parse().unwrap(),
+    ];
+    let announce = |prefix: Prefix, with_next_hop: bool| {
+        let mut builder = UpdateMessage::builder()
+            .attribute(PathAttribute::Origin(Origin::Igp))
+            .attribute(PathAttribute::AsPath(AsPath::from_sequence([Asn(65001)])));
+        if with_next_hop {
+            builder = builder.attribute(PathAttribute::NextHop(Ipv4Addr::new(127, 0, 0, 1)));
+        }
+        Message::Update(builder.announce(prefix).build())
+    };
+    // One write, so one socket read, so one batch.
+    let mut bytes = Vec::new();
+    for prefix in &good {
+        announce(*prefix, true).encode_into(&mut bytes).unwrap();
+    }
+    announce("10.3.0.0/16".parse().unwrap(), false)
+        .encode_into(&mut bytes)
+        .unwrap();
+    sender.raw_stream().write_all(&bytes).unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let note = loop {
+        assert!(Instant::now() < deadline, "no notification received");
+        match sender.recv() {
+            Ok(Some(Message::Notification(note))) => break note,
+            Ok(_) => {}
+            Err(err) => panic!("session closed without a notification: {err}"),
+        }
+    };
+    assert_eq!(note.error_code(), ErrorCode::UpdateMessageError);
+    assert_eq!(note.subcode(), 3, "missing well-known attribute");
+    assert_eq!(note.data(), [3], "NEXT_HOP's type code");
+    assert!(wait_sessions(&daemon, 1, Duration::from_secs(5)));
+
+    // The observer hears both good routes, then (the session having
+    // died) their withdrawal; the rejected prefix never appears.
+    let mut announced = Vec::new();
+    let mut withdrawn = Vec::new();
+    while withdrawn.len() < good.len() {
+        assert!(Instant::now() < deadline, "observer missed the fallout");
+        if let Ok(Some(Message::Update(update))) = observer.recv() {
+            assert!(
+                update.withdrawn().is_empty() || announced.len() == good.len(),
+                "withdrawn before both announcements arrived"
+            );
+            announced.extend_from_slice(update.nlri());
+            withdrawn.extend_from_slice(update.withdrawn());
+        }
+    }
+    withdrawn.sort();
+    assert_eq!(announced, good);
+    assert_eq!(withdrawn, good);
+    assert_eq!(daemon.snapshot().loc_rib_len, 0);
+    daemon.shutdown();
+}
+
 #[test]
 fn disconnect_mid_table_transfer_is_cleaned_up() {
     let daemon = BgpDaemon::start(DaemonConfig::default()).unwrap();

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use bgpbench_telemetry::{self as telemetry, MetricId, SpanId};
-use bgpbench_wire::{Prefix, UpdateMessage};
+use bgpbench_wire::{Prefix, UpdateMessage, WireError};
 
 use crate::fxhash::FxHashMap;
 use crate::route::RouteAttributes;
@@ -18,11 +18,69 @@ pub enum ExportAction {
     Withdraw(Prefix),
 }
 
+/// One UPDATE's worth of packetized [`ExportAction`]s, borrowed from
+/// the action list: what [`AdjRibOut::packetize`] hands its caller, to
+/// encode straight onto the wire or to build an [`UpdateMessage`] from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OutboundUpdate<'a> {
+    /// Withdraws the prefixes.
+    Withdraw(&'a [Prefix]),
+    /// Announces the prefixes, all with one attribute set.
+    Announce(&'a RouteAttributes, &'a [Prefix]),
+}
+
+impl OutboundUpdate<'_> {
+    /// Prefix-level operations carried — what
+    /// [`UpdateMessage::transaction_count`] reports for the built
+    /// message.
+    pub fn transaction_count(&self) -> usize {
+        match self {
+            OutboundUpdate::Withdraw(prefixes) | OutboundUpdate::Announce(_, prefixes) => {
+                prefixes.len()
+            }
+        }
+    }
+
+    /// Appends the UPDATE as a complete wire message, copying neither
+    /// the attribute set nor the prefixes on the way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::MessageTooLong`] when the prefixes and
+    /// attributes do not fit one BGP message; `out` is then unchanged.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        match *self {
+            OutboundUpdate::Withdraw(prefixes) => {
+                UpdateMessage::encode_parts_into(prefixes, [], &[], out)
+            }
+            OutboundUpdate::Announce(attrs, prefixes) => {
+                UpdateMessage::encode_parts_into(&[], attrs.wire_attrs(), prefixes, out)
+            }
+        }
+    }
+
+    /// Builds the owned message (cloning the attribute set).
+    pub fn to_message(&self) -> UpdateMessage {
+        match *self {
+            OutboundUpdate::Withdraw(prefixes) => UpdateMessage::builder()
+                .withdraw_all(prefixes.iter().copied())
+                .build(),
+            OutboundUpdate::Announce(attrs, prefixes) => {
+                let mut builder = UpdateMessage::builder();
+                for attr in attrs.to_wire() {
+                    builder = builder.attribute(attr);
+                }
+                builder.announce_all(prefixes.iter().copied()).build()
+            }
+        }
+    }
+}
+
 /// The per-neighbor Adj-RIB-Out: what has been advertised, plus diffing
 /// against the desired state and packetization into UPDATE messages.
 ///
 /// Packetization is where the benchmark's *small packet* / *large
-/// packet* distinction lives: [`AdjRibOut::to_updates`] groups
+/// packet* distinction lives: [`AdjRibOut::packetize`] groups
 /// announcements sharing an attribute set into messages carrying up to
 /// `max_prefixes_per_update` prefixes each.
 #[derive(Debug, Clone, Default)]
@@ -114,7 +172,8 @@ impl AdjRibOut {
         }
     }
 
-    /// Packetizes actions into UPDATE messages.
+    /// Packetizes actions into UPDATEs, handing each to `emit` in send
+    /// order.
     ///
     /// Withdrawals are batched up to `max_prefixes_per_update` per
     /// message. Announcements are grouped by attribute set (an UPDATE
@@ -125,14 +184,34 @@ impl AdjRibOut {
     /// # Panics
     ///
     /// Panics if `max_prefixes_per_update` is zero.
-    pub fn to_updates(
+    pub fn packetize(
         actions: &[ExportAction],
         max_prefixes_per_update: usize,
-    ) -> Vec<UpdateMessage> {
+        mut emit: impl FnMut(OutboundUpdate<'_>),
+    ) {
         assert!(max_prefixes_per_update > 0, "packet size must be positive");
         let _span = telemetry::span(SpanId::AdjOutPacketize);
-        let mut updates = Vec::new();
 
+        // One action is one UPDATE — every propagation round at one
+        // prefix per UPDATE — and needs none of the grouping below.
+        if let [action] = actions {
+            match action {
+                ExportAction::Withdraw(prefix) => {
+                    emit(OutboundUpdate::Withdraw(std::slice::from_ref(prefix)));
+                }
+                ExportAction::Announce(prefix, attrs) => {
+                    telemetry::incr(MetricId::AdjOutAttrGroups);
+                    emit(OutboundUpdate::Announce(
+                        attrs,
+                        std::slice::from_ref(prefix),
+                    ));
+                }
+            }
+            telemetry::incr(MetricId::AdjOutUpdates);
+            return;
+        }
+
+        let mut updates = 0u64;
         let withdrawals: Vec<Prefix> = actions
             .iter()
             .filter_map(|action| match action {
@@ -141,57 +220,53 @@ impl AdjRibOut {
             })
             .collect();
         for chunk in withdrawals.chunks(max_prefixes_per_update) {
-            updates.push(
-                UpdateMessage::builder()
-                    .withdraw_all(chunk.iter().copied())
-                    .build(),
-            );
+            updates += 1;
+            emit(OutboundUpdate::Withdraw(chunk));
         }
 
         // Group announcements by attribute set, preserving first-seen
         // order of each group. Interned attribute sets resolve through
         // the O(1) pointer-keyed map; the value-keyed map behind it
         // keeps grouping correct for value-equal sets allocated
-        // separately (callers that bypass the interner), exactly as the
-        // old linear scan did.
-        let mut groups: Vec<(Arc<RouteAttributes>, Vec<Prefix>)> = Vec::new();
+        // separately (callers that bypass the interner).
+        let mut groups: Vec<(&RouteAttributes, Vec<Prefix>)> = Vec::new();
         let mut index_by_ptr: FxHashMap<*const RouteAttributes, usize> = FxHashMap::default();
-        let mut index_by_value: FxHashMap<Arc<RouteAttributes>, usize> = FxHashMap::default();
+        let mut index_by_value: FxHashMap<&RouteAttributes, usize> = FxHashMap::default();
         for action in actions {
             let ExportAction::Announce(prefix, attrs) = action else {
                 continue;
             };
-            let ptr = Arc::as_ptr(attrs);
-            let index = match index_by_ptr.get(&ptr) {
-                Some(&index) => index,
-                None => {
-                    let index = match index_by_value.get(attrs) {
-                        Some(&index) => index,
-                        None => {
-                            let index = groups.len();
-                            groups.push((attrs.clone(), Vec::new()));
-                            index_by_value.insert(attrs.clone(), index);
-                            index
-                        }
-                    };
-                    index_by_ptr.insert(ptr, index);
-                    index
-                }
-            };
+            let index = *index_by_ptr.entry(Arc::as_ptr(attrs)).or_insert_with(|| {
+                *index_by_value.entry(attrs).or_insert_with(|| {
+                    groups.push((attrs, Vec::new()));
+                    groups.len() - 1
+                })
+            });
             groups[index].1.push(*prefix);
         }
         telemetry::add(MetricId::AdjOutAttrGroups, groups.len() as u64);
-        for (attrs, prefixes) in groups {
-            let wire_attrs = attrs.to_wire();
+        for (attrs, prefixes) in &groups {
             for chunk in prefixes.chunks(max_prefixes_per_update) {
-                let mut builder = UpdateMessage::builder();
-                for attr in &wire_attrs {
-                    builder = builder.attribute(attr.clone());
-                }
-                updates.push(builder.announce_all(chunk.iter().copied()).build());
+                updates += 1;
+                emit(OutboundUpdate::Announce(attrs, chunk));
             }
         }
-        telemetry::add(MetricId::AdjOutUpdates, updates.len() as u64);
+        telemetry::add(MetricId::AdjOutUpdates, updates);
+    }
+
+    /// [`AdjRibOut::packetize`], collected into owned messages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_prefixes_per_update` is zero.
+    pub fn to_updates(
+        actions: &[ExportAction],
+        max_prefixes_per_update: usize,
+    ) -> Vec<UpdateMessage> {
+        let mut updates = Vec::new();
+        Self::packetize(actions, max_prefixes_per_update, |update| {
+            updates.push(update.to_message());
+        });
         updates
     }
 }

@@ -9,6 +9,9 @@ pub enum RibError {
     MissingMandatoryAttribute {
         /// Name of the missing attribute.
         attribute: &'static str,
+        /// Its attribute type code, the data octet of the NOTIFICATION
+        /// the peer is owed.
+        type_code: u8,
     },
     /// An operation referenced a peer the engine does not know.
     UnknownPeer(u32),
@@ -19,7 +22,7 @@ pub enum RibError {
 impl fmt::Display for RibError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RibError::MissingMandatoryAttribute { attribute } => {
+            RibError::MissingMandatoryAttribute { attribute, .. } => {
                 write!(f, "update missing mandatory attribute {attribute}")
             }
             RibError::UnknownPeer(id) => write!(f, "unknown peer {id}"),
@@ -38,7 +41,8 @@ mod tests {
     fn display_is_meaningful() {
         assert_eq!(
             RibError::MissingMandatoryAttribute {
-                attribute: "AS_PATH"
+                attribute: "AS_PATH",
+                type_code: 2,
             }
             .to_string(),
             "update missing mandatory attribute AS_PATH"

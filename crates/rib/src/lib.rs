@@ -52,7 +52,7 @@ mod policy;
 mod route;
 mod shard;
 
-pub use adj_out::{AdjRibOut, ExportAction};
+pub use adj_out::{AdjRibOut, ExportAction, OutboundUpdate};
 pub use attr_store::{AttrStore, AttrStoreStats};
 pub use damping::{DampingConfig, FlapKind, RouteDamper};
 pub use decision::{compare_routes, DecisionConfig};

@@ -4,7 +4,9 @@ use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use bgpbench_wire::{AsPath, Asn, LargeCommunity, Origin, PathAttribute, Prefix, RouterId};
+use bgpbench_wire::{
+    AsPath, Asn, LargeCommunity, Origin, PathAttribute, PathAttributeRef, Prefix, RouterId,
+};
 
 use crate::RibError;
 
@@ -229,12 +231,15 @@ impl RouteAttributes {
         Ok(RouteAttributes {
             origin: origin.ok_or(RibError::MissingMandatoryAttribute {
                 attribute: "ORIGIN",
+                type_code: 1,
             })?,
             as_path: as_path.ok_or(RibError::MissingMandatoryAttribute {
                 attribute: "AS_PATH",
+                type_code: 2,
             })?,
             next_hop: next_hop.ok_or(RibError::MissingMandatoryAttribute {
                 attribute: "NEXT_HOP",
+                type_code: 3,
             })?,
             med,
             local_pref,
@@ -246,50 +251,43 @@ impl RouteAttributes {
         })
     }
 
-    /// Serializes back into wire path attributes (cloning the AS path
-    /// and community vectors; [`RouteAttributes::into_wire`] moves
-    /// them instead).
-    pub fn to_wire(&self) -> Vec<PathAttribute> {
-        self.clone().into_wire()
-    }
-
-    /// Consumes the set, serializing into wire path attributes without
-    /// cloning the AS path or community vectors.
-    pub fn into_wire(self) -> Vec<PathAttribute> {
-        let mut attrs = vec![
-            PathAttribute::Origin(self.origin),
-            PathAttribute::AsPath(self.as_path),
-            PathAttribute::NextHop(self.next_hop),
+    /// The set as wire path attributes, borrowed and in canonical
+    /// (type-code) order: the one place that order is written down.
+    /// Encoding from this view copies nothing.
+    pub fn wire_attrs(&self) -> impl Iterator<Item = PathAttributeRef<'_>> {
+        let known = [
+            Some(PathAttributeRef::Origin(self.origin)),
+            Some(PathAttributeRef::AsPath(&self.as_path)),
+            Some(PathAttributeRef::NextHop(self.next_hop)),
+            self.med.map(PathAttributeRef::Med),
+            self.local_pref.map(PathAttributeRef::LocalPref),
+            self.atomic_aggregate
+                .then_some(PathAttributeRef::AtomicAggregate),
+            self.aggregator
+                .map(|aggregator| PathAttributeRef::Aggregator {
+                    asn: aggregator.asn,
+                    router_id: aggregator.router_id,
+                }),
+            (!self.communities.is_empty())
+                .then_some(PathAttributeRef::Communities(&self.communities)),
+            (!self.large_communities.is_empty())
+                .then_some(PathAttributeRef::LargeCommunities(&self.large_communities)),
         ];
-        if let Some(med) = self.med {
-            attrs.push(PathAttribute::Med(med));
-        }
-        if let Some(local_pref) = self.local_pref {
-            attrs.push(PathAttribute::LocalPref(local_pref));
-        }
-        if self.atomic_aggregate {
-            attrs.push(PathAttribute::AtomicAggregate);
-        }
-        if let Some(aggregator) = self.aggregator {
-            attrs.push(PathAttribute::Aggregator {
-                asn: aggregator.asn,
-                router_id: aggregator.router_id,
-            });
-        }
-        if !self.communities.is_empty() {
-            attrs.push(PathAttribute::Communities(self.communities));
-        }
-        if !self.large_communities.is_empty() {
-            attrs.push(PathAttribute::LargeCommunities(self.large_communities));
-        }
-        for unknown in self.unknown_transitive {
-            attrs.push(PathAttribute::Unknown {
+        let unknown = self
+            .unknown_transitive
+            .iter()
+            .map(|unknown| PathAttributeRef::Unknown {
                 flags: unknown.flags,
                 type_code: unknown.type_code,
-                value: unknown.value,
+                value: &unknown.value,
             });
-        }
-        attrs
+        known.into_iter().flatten().chain(unknown)
+    }
+
+    /// Serializes back into owned wire path attributes (cloning the AS
+    /// path and community vectors).
+    pub fn to_wire(&self) -> Vec<PathAttribute> {
+        self.wire_attrs().map(|attr| attr.to_attribute()).collect()
     }
 
     /// The ORIGIN attribute.
@@ -627,10 +625,13 @@ mod tests {
     fn from_wire_requires_mandatory_attributes() {
         for missing in 0..3 {
             let mut attrs = base_attrs();
-            attrs.remove(missing);
+            let removed = attrs.remove(missing);
+            // The error names the wire's own type code for what is
+            // missing: the session sends it to the peer verbatim.
             assert!(matches!(
                 RouteAttributes::from_wire(&attrs),
-                Err(RibError::MissingMandatoryAttribute { .. })
+                Err(RibError::MissingMandatoryAttribute { type_code, .. })
+                    if type_code == removed.type_code()
             ));
         }
     }
@@ -660,8 +661,7 @@ mod tests {
         let borrowed = RouteAttributes::from_wire(&wire).unwrap();
         let owned = RouteAttributes::from_wire_owned(wire.clone()).unwrap();
         assert_eq!(borrowed, owned);
-        assert_eq!(owned.clone().into_wire(), owned.to_wire());
-        assert_eq!(owned.into_wire(), wire);
+        assert_eq!(owned.to_wire(), wire);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use bgpbench_rib::{AdjRibOut, ExportAction, RouteAttributes};
-use bgpbench_wire::{AsPath, Asn, Origin, Prefix};
+use bgpbench_wire::{AsPath, Asn, Message, Origin, Prefix};
 use proptest::prelude::*;
 
 fn arb_attrs() -> impl Strategy<Value = Arc<RouteAttributes>> {
@@ -137,5 +137,38 @@ proptest! {
             prop_assert!(update.nlri().len() <= pkt);
             prop_assert!(update.withdrawn().len() <= pkt);
         }
+    }
+
+    /// What `packetize` encodes straight onto the wire is, byte for
+    /// byte, what `to_updates` builds and `Message::encode` writes —
+    /// for withdrawals and announcements, one action or many, at any
+    /// packet size.
+    #[test]
+    fn packetize_encodes_what_to_updates_builds(
+        before in arb_state(),
+        after in arb_state(),
+        pkt in 1usize..600,
+    ) {
+        let mut adj_out = AdjRibOut::new();
+        adj_out.sync(before);
+        let actions = adj_out.sync(after);
+
+        let mut direct = Vec::new();
+        let mut transactions = 0;
+        AdjRibOut::packetize(&actions, pkt, |update| {
+            update.encode_into(&mut direct).expect("fits one message");
+            transactions += update.transaction_count();
+        });
+
+        let updates = AdjRibOut::to_updates(&actions, pkt);
+        let built: Vec<u8> = updates
+            .iter()
+            .flat_map(|update| Message::Update(update.clone()).encode().expect("fits"))
+            .collect();
+        prop_assert_eq!(direct, built);
+        prop_assert_eq!(
+            transactions,
+            updates.iter().map(|u| u.transaction_count()).sum::<usize>()
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! A real BGP speaker over TCP, for benchmarking live daemons.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -183,15 +183,14 @@ impl LiveSpeaker {
             if let Some(message) = self.decoder.next_message().map_err(wire_to_io)? {
                 return Ok(Some(message));
             }
-            let mut buf = [0u8; 16 * 1024];
-            match self.stream.read(&mut buf) {
+            match self.decoder.read_from(&mut self.stream) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
                         "peer closed the session",
                     ))
                 }
-                Ok(n) => self.decoder.extend(&buf[..n]),
+                Ok(_) => {}
                 Err(err)
                     if err.kind() == io::ErrorKind::WouldBlock
                         || err.kind() == io::ErrorKind::TimedOut =>
@@ -320,6 +319,7 @@ fn wire_to_io(err: WireError) -> io::Error {
 mod tests {
     use super::*;
     use bgpbench_wire::{Origin, PathAttribute};
+    use std::io::Read;
     use std::net::{Ipv4Addr, TcpListener};
     use std::thread;
 

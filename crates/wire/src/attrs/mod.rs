@@ -88,73 +88,93 @@ pub enum PathAttribute {
     },
 }
 
-impl PathAttribute {
+/// A borrowed view of one path attribute: what [`PathAttribute`] owns,
+/// this points at.
+///
+/// Encoding goes through this type so a caller that keeps its
+/// attributes decomposed (the RIB's attribute sets) can put them on the
+/// wire without first cloning AS paths and community lists into owned
+/// [`PathAttribute`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathAttributeRef<'a> {
+    /// ORIGIN (type 1).
+    Origin(Origin),
+    /// AS_PATH (type 2).
+    AsPath(&'a AsPath),
+    /// NEXT_HOP (type 3).
+    NextHop(Ipv4Addr),
+    /// MULTI_EXIT_DISC (type 4).
+    Med(u32),
+    /// LOCAL_PREF (type 5).
+    LocalPref(u32),
+    /// ATOMIC_AGGREGATE (type 6).
+    AtomicAggregate,
+    /// AGGREGATOR (type 7).
+    Aggregator {
+        /// AS that performed the aggregation.
+        asn: Asn,
+        /// Router that performed the aggregation.
+        router_id: Ipv4Addr,
+    },
+    /// COMMUNITIES (type 8).
+    Communities(&'a [u32]),
+    /// LARGE_COMMUNITIES (type 32).
+    LargeCommunities(&'a [LargeCommunity]),
+    /// Any attribute this crate does not model structurally.
+    Unknown {
+        /// The flag octet (length bit is recomputed on encode).
+        flags: u8,
+        /// Attribute type code.
+        type_code: u8,
+        /// Raw attribute value.
+        value: &'a [u8],
+    },
+}
+
+impl PathAttributeRef<'_> {
     /// The attribute type code (RFC 4271 §5).
     pub fn type_code(&self) -> u8 {
         match self {
-            PathAttribute::Origin(_) => TYPE_ORIGIN,
-            PathAttribute::AsPath(_) => TYPE_AS_PATH,
-            PathAttribute::NextHop(_) => TYPE_NEXT_HOP,
-            PathAttribute::Med(_) => TYPE_MED,
-            PathAttribute::LocalPref(_) => TYPE_LOCAL_PREF,
-            PathAttribute::AtomicAggregate => TYPE_ATOMIC_AGGREGATE,
-            PathAttribute::Aggregator { .. } => TYPE_AGGREGATOR,
-            PathAttribute::Communities(_) => TYPE_COMMUNITIES,
-            PathAttribute::LargeCommunities(_) => TYPE_LARGE_COMMUNITIES,
-            PathAttribute::Unknown { type_code, .. } => *type_code,
+            PathAttributeRef::Origin(_) => TYPE_ORIGIN,
+            PathAttributeRef::AsPath(_) => TYPE_AS_PATH,
+            PathAttributeRef::NextHop(_) => TYPE_NEXT_HOP,
+            PathAttributeRef::Med(_) => TYPE_MED,
+            PathAttributeRef::LocalPref(_) => TYPE_LOCAL_PREF,
+            PathAttributeRef::AtomicAggregate => TYPE_ATOMIC_AGGREGATE,
+            PathAttributeRef::Aggregator { .. } => TYPE_AGGREGATOR,
+            PathAttributeRef::Communities(_) => TYPE_COMMUNITIES,
+            PathAttributeRef::LargeCommunities(_) => TYPE_LARGE_COMMUNITIES,
+            PathAttributeRef::Unknown { type_code, .. } => *type_code,
         }
     }
 
     fn flags(&self) -> u8 {
         match self {
-            PathAttribute::Origin(_)
-            | PathAttribute::AsPath(_)
-            | PathAttribute::NextHop(_)
-            | PathAttribute::LocalPref(_)
-            | PathAttribute::AtomicAggregate => FLAG_TRANSITIVE,
-            PathAttribute::Med(_) => FLAG_OPTIONAL,
-            PathAttribute::Aggregator { .. }
-            | PathAttribute::Communities(_)
-            | PathAttribute::LargeCommunities(_) => FLAG_OPTIONAL | FLAG_TRANSITIVE,
-            PathAttribute::Unknown { flags, .. } => *flags & !FLAG_EXTENDED,
+            PathAttributeRef::Origin(_)
+            | PathAttributeRef::AsPath(_)
+            | PathAttributeRef::NextHop(_)
+            | PathAttributeRef::LocalPref(_)
+            | PathAttributeRef::AtomicAggregate => FLAG_TRANSITIVE,
+            PathAttributeRef::Med(_) => FLAG_OPTIONAL,
+            PathAttributeRef::Aggregator { .. }
+            | PathAttributeRef::Communities(_)
+            | PathAttributeRef::LargeCommunities(_) => FLAG_OPTIONAL | FLAG_TRANSITIVE,
+            PathAttributeRef::Unknown { flags, .. } => *flags & !FLAG_EXTENDED,
         }
-    }
-
-    fn value_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.value_len());
-        match self {
-            PathAttribute::Origin(origin) => attr_01_origin::encode_origin(*origin, &mut buf),
-            PathAttribute::AsPath(path) => path.encode_to(&mut buf),
-            PathAttribute::NextHop(addr) => attr_03_next_hop::encode_next_hop(*addr, &mut buf),
-            PathAttribute::Med(value) => attr_04_med::encode_med(*value, &mut buf),
-            PathAttribute::LocalPref(value) => {
-                attr_05_local_pref::encode_local_pref(*value, &mut buf)
-            }
-            PathAttribute::AtomicAggregate => {}
-            PathAttribute::Aggregator { asn, router_id } => {
-                attr_07_aggregator::encode_aggregator(*asn, *router_id, &mut buf)
-            }
-            PathAttribute::Communities(values) => {
-                attr_08_communities::encode_communities(values, &mut buf)
-            }
-            PathAttribute::LargeCommunities(values) => {
-                attr_32_large_communities::encode_large_communities(values, &mut buf)
-            }
-            PathAttribute::Unknown { value, .. } => buf.extend_from_slice(value),
-        }
-        buf
     }
 
     fn value_len(&self) -> usize {
         match self {
-            PathAttribute::Origin(_) => 1,
-            PathAttribute::AsPath(path) => path.wire_len(),
-            PathAttribute::NextHop(_) | PathAttribute::Med(_) | PathAttribute::LocalPref(_) => 4,
-            PathAttribute::AtomicAggregate => 0,
-            PathAttribute::Aggregator { .. } => 6,
-            PathAttribute::Communities(values) => values.len() * 4,
-            PathAttribute::LargeCommunities(values) => values.len() * 12,
-            PathAttribute::Unknown { value, .. } => value.len(),
+            PathAttributeRef::Origin(_) => 1,
+            PathAttributeRef::AsPath(path) => path.wire_len(),
+            PathAttributeRef::NextHop(_)
+            | PathAttributeRef::Med(_)
+            | PathAttributeRef::LocalPref(_) => 4,
+            PathAttributeRef::AtomicAggregate => 0,
+            PathAttributeRef::Aggregator { .. } => 6,
+            PathAttributeRef::Communities(values) => values.len() * 4,
+            PathAttributeRef::LargeCommunities(values) => values.len() * 12,
+            PathAttributeRef::Unknown { value, .. } => value.len(),
         }
     }
 
@@ -166,10 +186,103 @@ impl PathAttribute {
     }
 
     /// Appends the wire encoding (flags, type, length, value) to `out`.
+    /// The value is written in place: its length is known up front, so
+    /// nothing is staged in a temporary.
     pub fn encode_to(&self, out: &mut Vec<u8>) {
-        let value = self.value_bytes();
-        encode_header(self.flags(), self.type_code(), &value, out);
-        out.extend_from_slice(&value);
+        let value_len = self.value_len();
+        encode_header(self.flags(), self.type_code(), value_len, out);
+        let value_start = out.len();
+        match *self {
+            PathAttributeRef::Origin(origin) => attr_01_origin::encode_origin(origin, out),
+            PathAttributeRef::AsPath(path) => path.encode_to(out),
+            PathAttributeRef::NextHop(addr) => attr_03_next_hop::encode_next_hop(addr, out),
+            PathAttributeRef::Med(value) => attr_04_med::encode_med(value, out),
+            PathAttributeRef::LocalPref(value) => attr_05_local_pref::encode_local_pref(value, out),
+            PathAttributeRef::AtomicAggregate => {}
+            PathAttributeRef::Aggregator { asn, router_id } => {
+                attr_07_aggregator::encode_aggregator(asn, router_id, out)
+            }
+            PathAttributeRef::Communities(values) => {
+                attr_08_communities::encode_communities(values, out)
+            }
+            PathAttributeRef::LargeCommunities(values) => {
+                attr_32_large_communities::encode_large_communities(values, out)
+            }
+            PathAttributeRef::Unknown { value, .. } => out.extend_from_slice(value),
+        }
+        debug_assert_eq!(out.len() - value_start, value_len, "value_len out of step");
+    }
+
+    /// Clones the borrowed parts into an owned [`PathAttribute`].
+    pub fn to_attribute(&self) -> PathAttribute {
+        match *self {
+            PathAttributeRef::Origin(origin) => PathAttribute::Origin(origin),
+            PathAttributeRef::AsPath(path) => PathAttribute::AsPath(path.clone()),
+            PathAttributeRef::NextHop(addr) => PathAttribute::NextHop(addr),
+            PathAttributeRef::Med(value) => PathAttribute::Med(value),
+            PathAttributeRef::LocalPref(value) => PathAttribute::LocalPref(value),
+            PathAttributeRef::AtomicAggregate => PathAttribute::AtomicAggregate,
+            PathAttributeRef::Aggregator { asn, router_id } => {
+                PathAttribute::Aggregator { asn, router_id }
+            }
+            PathAttributeRef::Communities(values) => PathAttribute::Communities(values.to_vec()),
+            PathAttributeRef::LargeCommunities(values) => {
+                PathAttribute::LargeCommunities(values.to_vec())
+            }
+            PathAttributeRef::Unknown {
+                flags,
+                type_code,
+                value,
+            } => PathAttribute::Unknown {
+                flags,
+                type_code,
+                value: value.to_vec(),
+            },
+        }
+    }
+}
+
+impl PathAttribute {
+    /// This attribute as a borrowed view.
+    pub fn borrowed(&self) -> PathAttributeRef<'_> {
+        match self {
+            PathAttribute::Origin(origin) => PathAttributeRef::Origin(*origin),
+            PathAttribute::AsPath(path) => PathAttributeRef::AsPath(path),
+            PathAttribute::NextHop(addr) => PathAttributeRef::NextHop(*addr),
+            PathAttribute::Med(value) => PathAttributeRef::Med(*value),
+            PathAttribute::LocalPref(value) => PathAttributeRef::LocalPref(*value),
+            PathAttribute::AtomicAggregate => PathAttributeRef::AtomicAggregate,
+            PathAttribute::Aggregator { asn, router_id } => PathAttributeRef::Aggregator {
+                asn: *asn,
+                router_id: *router_id,
+            },
+            PathAttribute::Communities(values) => PathAttributeRef::Communities(values),
+            PathAttribute::LargeCommunities(values) => PathAttributeRef::LargeCommunities(values),
+            PathAttribute::Unknown {
+                flags,
+                type_code,
+                value,
+            } => PathAttributeRef::Unknown {
+                flags: *flags,
+                type_code: *type_code,
+                value,
+            },
+        }
+    }
+
+    /// The attribute type code (RFC 4271 §5).
+    pub fn type_code(&self) -> u8 {
+        self.borrowed().type_code()
+    }
+
+    /// On-the-wire size of this attribute including flags/type/length.
+    pub fn wire_len(&self) -> usize {
+        self.borrowed().wire_len()
+    }
+
+    /// Appends the wire encoding (flags, type, length, value) to `out`.
+    pub fn encode_to(&self, out: &mut Vec<u8>) {
+        self.borrowed().encode_to(out);
     }
 
     /// Decodes one attribute from the front of `input`, returning it and
@@ -282,19 +395,20 @@ fn decode_header(input: &[u8]) -> Result<AttrHeader<'_>, WireError> {
     })
 }
 
-/// Appends the flags/type/length framing for `value`, setting the
-/// extended-length bit iff the value needs a two-octet length.
-fn encode_header(flags: u8, type_code: u8, value: &[u8], out: &mut Vec<u8>) {
+/// Appends the flags/type/length framing for a value of `value_len`
+/// octets, setting the extended-length bit iff it needs a two-octet
+/// length.
+fn encode_header(flags: u8, type_code: u8, value_len: usize, out: &mut Vec<u8>) {
     let mut flags = flags;
-    if value.len() > 255 {
+    if value_len > 255 {
         flags |= FLAG_EXTENDED;
     }
     out.push(flags);
     out.push(type_code);
     if flags & FLAG_EXTENDED != 0 {
-        out.extend_from_slice(&(value.len() as u16).to_be_bytes());
+        out.extend_from_slice(&(value_len as u16).to_be_bytes());
     } else {
-        out.push(value.len() as u8);
+        out.push(value_len as u8);
     }
 }
 

@@ -1,15 +1,20 @@
 //! Incremental message framing for TCP byte streams.
 
-use bytes::{Buf, BytesMut};
+use std::io::{self, Read};
 
 use crate::{Message, WireError};
+
+/// How much room [`StreamDecoder::read_from`] offers the reader: the
+/// size of one socket read.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Reassembles complete BGP messages from an arbitrarily-chunked byte
 /// stream, as delivered by TCP.
 ///
-/// Feed received bytes with [`StreamDecoder::extend`] and drain complete
-/// messages with [`StreamDecoder::next_message`]. The decoder is
-/// error-latching: once the stream violates the protocol, every
+/// Feed received bytes with [`StreamDecoder::read_from`] (straight from
+/// a socket) or [`StreamDecoder::extend`] (from a slice) and drain
+/// complete messages with [`StreamDecoder::next_message`]. The decoder
+/// is error-latching: once the stream violates the protocol, every
 /// subsequent call returns the same error, because a BGP session cannot
 /// resynchronize after a framing error (RFC 4271 §6.1 tears the session
 /// down).
@@ -26,7 +31,12 @@ use crate::{Message, WireError};
 /// ```
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
-    buffer: BytesMut,
+    /// `buf[start..end]` holds the received, not-yet-consumed octets.
+    /// What lies past `end` is spare room, kept initialised so a read
+    /// can land in it without being zeroed first.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
     poisoned: Option<WireError>,
 }
 
@@ -38,12 +48,43 @@ impl StreamDecoder {
 
     /// Appends received bytes to the reassembly buffer.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.buffer.extend_from_slice(bytes);
+        self.spare(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// Performs one `read` straight into the reassembly buffer's spare
+    /// room (up to 16 KiB of it) and returns the reader's count; zero
+    /// means end of stream.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the reader returns, `WouldBlock` and `TimedOut`
+    /// included; nothing is buffered then.
+    pub fn read_from(&mut self, reader: &mut impl Read) -> io::Result<usize> {
+        let n = reader.read(&mut self.spare(READ_CHUNK)[..READ_CHUNK])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// At least `want` octets of spare room after the buffered ones.
+    /// Consumed space is reclaimed first — a partial message slides to
+    /// the front — so the buffer stays about one read long however
+    /// reads and message boundaries fall.
+    fn spare(&mut self, want: usize) -> &mut [u8] {
+        if self.buf.len() - self.end < want {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            if self.buf.len() - self.end < want {
+                self.buf.resize(self.end + want, 0);
+            }
+        }
+        &mut self.buf[self.end..]
     }
 
     /// Number of buffered, not-yet-consumed octets.
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.end - self.start
     }
 
     /// Attempts to decode the next complete message.
@@ -58,17 +99,18 @@ impl StreamDecoder {
         if let Some(err) = &self.poisoned {
             return Err(err.clone());
         }
-        let total_len = match Message::peek_length(&self.buffer) {
+        let buffered = &self.buf[self.start..self.end];
+        let total_len = match Message::peek_length(buffered) {
             Ok(len) => len,
             Err(WireError::Truncated { .. }) => return Ok(None),
             Err(err) => return Err(self.poison(err)),
         };
-        if self.buffer.len() < total_len {
+        if buffered.len() < total_len {
             return Ok(None);
         }
-        match Message::decode(&self.buffer[..total_len]) {
+        match Message::decode(&buffered[..total_len]) {
             Ok((message, consumed)) => {
-                self.buffer.advance(consumed);
+                self.start += consumed;
                 Ok(Some(message))
             }
             Err(err) => Err(self.poison(err)),

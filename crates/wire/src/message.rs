@@ -115,31 +115,37 @@ impl Message {
     ///
     /// # Errors
     ///
-    /// Returns [`WireError::MessageTooLong`] if the encoding would
-    /// exceed [`MAX_MESSAGE_LEN`], and [`WireError::MalformedOpen`]
-    /// for OPEN capabilities that overflow the u8 length fields.
+    /// As for [`Message::encode_into`].
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&[0xFF; 16]);
-        buf.extend_from_slice(&[0, 0]); // length placeholder
-        buf.push(self.message_type().to_wire());
-        match self {
-            Message::Open(open) => open.encode_body(&mut buf)?,
-            Message::Update(update) => update.encode_body(&mut buf),
-            Message::Notification(note) => note.encode_body(&mut buf),
-            Message::Keepalive => {}
-            Message::RouteRefresh { afi, safi } => {
-                buf.extend_from_slice(&afi.to_be_bytes());
-                buf.push(0); // reserved
-                buf.push(*safi);
-            }
-        }
-        if buf.len() > MAX_MESSAGE_LEN {
-            return Err(WireError::MessageTooLong(buf.len()));
-        }
-        let len = buf.len() as u16;
-        buf[16..18].copy_from_slice(&len.to_be_bytes());
+        self.encode_into(&mut buf)?;
         Ok(buf)
+    }
+
+    /// Appends the encoded message, header included, to `out` — the
+    /// way to put several messages into one buffer (and one `write`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::MessageTooLong`] if the encoding would
+    /// exceed [`MAX_MESSAGE_LEN`], and [`WireError::MalformedOpen`]
+    /// for OPEN capabilities that overflow the u8 length fields. On
+    /// error `out` is left exactly as it was.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        frame(out, self.message_type(), |out| {
+            match self {
+                Message::Open(open) => open.encode_body(out)?,
+                Message::Update(update) => update.encode_body(out),
+                Message::Notification(note) => note.encode_body(out),
+                Message::Keepalive => {}
+                Message::RouteRefresh { afi, safi } => {
+                    out.extend_from_slice(&afi.to_be_bytes());
+                    out.push(0); // reserved
+                    out.push(*safi);
+                }
+            }
+            Ok(())
+        })
     }
 
     /// Decodes one message from the front of `input`, returning the
@@ -218,6 +224,32 @@ impl Message {
         }
         Ok(())
     }
+}
+
+/// Appends one framed message to `out`: the common header, whatever
+/// `body` writes, then the length patched into the header. On error
+/// `out` is truncated back to where it started.
+pub(crate) fn frame(
+    out: &mut Vec<u8>,
+    msg_type: MessageType,
+    body: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let start = out.len();
+    out.extend_from_slice(&[0xFF; 16]);
+    out.extend_from_slice(&[0, 0]); // length placeholder
+    out.push(msg_type.to_wire());
+    let result = body(out).and_then(|()| {
+        let len = out.len() - start;
+        if len > MAX_MESSAGE_LEN {
+            return Err(WireError::MessageTooLong(len));
+        }
+        out[start + 16..start + 18].copy_from_slice(&(len as u16).to_be_bytes());
+        Ok(())
+    });
+    if result.is_err() {
+        out.truncate(start);
+    }
+    result
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The UPDATE message (RFC 4271 §4.3).
 
-use crate::{PathAttribute, Prefix, WireError};
+use crate::message::frame;
+use crate::{MessageType, PathAttribute, PathAttributeRef, Prefix, WireError};
 
 /// A decoded UPDATE message: withdrawn routes, path attributes, and the
 /// NLRI the attributes apply to.
@@ -70,19 +71,35 @@ impl UpdateMessage {
 
     /// Appends the UPDATE body (everything after the common header).
     pub(crate) fn encode_body(&self, out: &mut Vec<u8>) {
-        let withdrawn_len: usize = self.withdrawn.iter().map(Prefix::wire_len).sum();
-        out.extend_from_slice(&(withdrawn_len as u16).to_be_bytes());
-        for prefix in &self.withdrawn {
-            prefix.encode_to(out);
-        }
-        let attrs_len: usize = self.attributes.iter().map(PathAttribute::wire_len).sum();
-        out.extend_from_slice(&(attrs_len as u16).to_be_bytes());
-        for attr in &self.attributes {
-            attr.encode_to(out);
-        }
-        for prefix in &self.nlri {
-            prefix.encode_to(out);
-        }
+        encode_body_parts(
+            &self.withdrawn,
+            self.attributes.iter().map(PathAttribute::borrowed),
+            &self.nlri,
+            out,
+        );
+    }
+
+    /// Appends a complete UPDATE message, header included, assembled
+    /// from borrowed parts — for callers that never build an
+    /// [`UpdateMessage`] because the attributes live elsewhere. The
+    /// bytes are those [`crate::Message::encode_into`] writes for the
+    /// equivalent message.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::MessageTooLong`] if the encoding would
+    /// exceed [`crate::MAX_MESSAGE_LEN`]; `out` is then left exactly as
+    /// it was.
+    pub fn encode_parts_into<'a>(
+        withdrawn: &[Prefix],
+        attributes: impl IntoIterator<Item = PathAttributeRef<'a>>,
+        nlri: &[Prefix],
+        out: &mut Vec<u8>,
+    ) -> Result<(), WireError> {
+        frame(out, MessageType::Update, |out| {
+            encode_body_parts(withdrawn, attributes, nlri, out);
+            Ok(())
+        })
     }
 
     /// Decodes an UPDATE body.
@@ -151,6 +168,40 @@ impl UpdateMessage {
             nlri,
         })
     }
+}
+
+/// Appends an UPDATE body. The two section lengths are patched in after
+/// their sections are written, so the attributes are walked once.
+fn encode_body_parts<'a>(
+    withdrawn: &[Prefix],
+    attributes: impl IntoIterator<Item = PathAttributeRef<'a>>,
+    nlri: &[Prefix],
+    out: &mut Vec<u8>,
+) {
+    let withdrawn_at = out.len();
+    out.extend_from_slice(&[0, 0]);
+    for prefix in withdrawn {
+        prefix.encode_to(out);
+    }
+    patch_section_len(out, withdrawn_at);
+    let attrs_at = out.len();
+    out.extend_from_slice(&[0, 0]);
+    for attr in attributes {
+        attr.encode_to(out);
+    }
+    patch_section_len(out, attrs_at);
+    for prefix in nlri {
+        prefix.encode_to(out);
+    }
+}
+
+/// Fills in the two-octet length field at `at` with the size of the
+/// section written after it. A section too long for the field also
+/// makes the message longer than any BGP message may be, which `frame`
+/// rejects.
+fn patch_section_len(out: &mut [u8], at: usize) {
+    let len = out.len() - at - 2;
+    out[at..at + 2].copy_from_slice(&(len as u16).to_be_bytes());
 }
 
 /// Incrementally assembles an [`UpdateMessage`].

@@ -1,11 +1,15 @@
-//! Corpus-seeded round-trip properties for OPEN and NOTIFICATION.
+//! Corpus-seeded round-trip properties for OPEN and NOTIFICATION, and
+//! `encode_into` ≡ `encode` over every corpus message.
 //!
 //! The seeds come from `bgpbench_check::corpus` — the same set the
 //! mutational fuzzer (`bgpbench-check fuzz-wire`) starts from — so a
 //! message shape added to the corpus is exercised by both the fuzzer's
 //! byte-level mutations and these structured perturbations.
 
-use bgpbench_wire::{Capability, ErrorCode, Message, NotificationMessage, OpenMessage};
+use bgpbench_wire::{
+    Capability, ErrorCode, Message, NotificationMessage, OpenMessage, Origin, PathAttribute,
+    Prefix, UpdateMessage, WireError,
+};
 use proptest::prelude::*;
 
 /// The corpus OPENs, decoded back out of the shared seed set.
@@ -56,7 +60,47 @@ fn every_corpus_seed_image_is_a_decode_fixpoint() {
     }
 }
 
+/// An UPDATE whose encoding overruns the 4096-octet message limit.
+fn oversized_update() -> Message {
+    let prefixes =
+        (0u32..2000).map(|i| Prefix::new_masked(std::net::Ipv4Addr::from(i << 8), 32).unwrap());
+    Message::Update(
+        UpdateMessage::builder()
+            .attribute(PathAttribute::Origin(Origin::Igp))
+            .announce_all(prefixes)
+            .build(),
+    )
+}
+
 proptest! {
+    /// Appending the whole corpus (all five message types) to a buffer
+    /// that already holds arbitrary bytes leaves those bytes alone and
+    /// adds exactly each message's `encode()` image, in order.
+    #[test]
+    fn encode_into_appends_what_encode_returns(
+        existing in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let mut appended = existing.clone();
+        let mut expected = existing;
+        for message in bgpbench_check::corpus::seed_messages() {
+            message.encode_into(&mut appended).expect("corpus message encodes");
+            expected.extend(message.encode().expect("corpus message encodes"));
+        }
+        prop_assert_eq!(appended, expected);
+    }
+
+    /// A message too long to encode leaves the caller's buffer exactly
+    /// as it was, so one bad UPDATE cannot corrupt a staged run.
+    #[test]
+    fn message_too_long_leaves_the_buffer_untouched(
+        existing in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let mut buffer = existing.clone();
+        let result = oversized_update().encode_into(&mut buffer);
+        prop_assert!(matches!(result, Err(WireError::MessageTooLong(_))));
+        prop_assert_eq!(buffer, existing);
+    }
+
     /// A corpus OPEN with perturbed session fields still round-trips.
     #[test]
     fn perturbed_corpus_open_roundtrips(

@@ -139,6 +139,57 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// Hands `stream` out `chunk_len` octets per `read`, then reports end
+/// of stream: a socket delivering short segments.
+struct ShortReads<'a> {
+    chunks: std::slice::Chunks<'a, u8>,
+}
+
+impl std::io::Read for ShortReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let chunk = self.chunks.next().unwrap_or(&[]);
+        buf[..chunk.len()].copy_from_slice(chunk);
+        Ok(chunk.len())
+    }
+}
+
+/// Decodes `stream` delivered `chunk_len` octets at a time, twice over:
+/// one decoder is fed slices through `extend`, the other reads for
+/// itself through `read_from`. They must agree after every chunk.
+fn decode_chunked(stream: &[u8], chunk_len: usize) -> Vec<Message> {
+    let mut extended = StreamDecoder::new();
+    let mut reading = StreamDecoder::new();
+    let mut reader = ShortReads {
+        chunks: stream.chunks(chunk_len),
+    };
+    let mut decoded = Vec::new();
+    for chunk in stream.chunks(chunk_len) {
+        extended.extend(chunk);
+        assert_eq!(reading.read_from(&mut reader).unwrap(), chunk.len());
+        assert_eq!(reading.buffered(), extended.buffered());
+        while let Some(message) = extended.next_message().unwrap() {
+            assert_eq!(reading.next_message().unwrap(), Some(message.clone()));
+            decoded.push(message);
+        }
+        assert_eq!(reading.next_message().unwrap(), None);
+    }
+    assert_eq!(reading.read_from(&mut reader).unwrap(), 0, "end of stream");
+    assert_eq!(extended.buffered(), 0);
+    assert_eq!(reading.buffered(), 0);
+    decoded
+}
+
+/// Single-octet reads, and reads that cut every 19-octet header in two,
+/// reassemble exactly as one whole read does.
+#[test]
+fn stream_decoder_survives_single_byte_and_split_header_reads() {
+    let messages = bgpbench_check::corpus::seed_messages();
+    let stream = bgpbench_check::corpus::seed_bytes().concat();
+    for chunk_len in [1, 7, 18, 19, 20, stream.len()] {
+        assert_eq!(decode_chunked(&stream, chunk_len), messages, "{chunk_len}");
+    }
+}
+
 proptest! {
     #[test]
     fn prefix_roundtrip(prefix in arb_prefix()) {
@@ -203,16 +254,7 @@ proptest! {
                 encodable.push(message);
             }
         }
-        let mut decoder = StreamDecoder::new();
-        let mut decoded = Vec::new();
-        for chunk in stream.chunks(chunk_len) {
-            decoder.extend(chunk);
-            while let Some(message) = decoder.next_message().unwrap() {
-                decoded.push(message);
-            }
-        }
-        prop_assert_eq!(decoded, encodable);
-        prop_assert_eq!(decoder.buffered(), 0);
+        prop_assert_eq!(decode_chunked(&stream, chunk_len), encodable);
     }
 
     #[test]
