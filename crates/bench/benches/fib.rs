@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 
-use bgpbench_fib::{CompressedTrie, Fib, Forwarder, Ipv4Header, LpmTrie, NextHop};
+use bgpbench_fib::{CompressedTrie, Fib, Forwarder, Ipv4Header, NextHop};
 use bgpbench_speaker::TableGenerator;
 
 fn loaded_fib(prefixes: usize) -> Fib {
@@ -26,7 +26,7 @@ fn bench_trie_insert(c: &mut Criterion) {
     group.throughput(Throughput::Elements(table.len() as u64));
     group.bench_function("10k_prefixes", |b| {
         b.iter_batched(
-            LpmTrie::new,
+            CompressedTrie::new,
             |mut trie| {
                 for (i, prefix) in table.iter().enumerate() {
                     trie.insert(*prefix, i);
@@ -83,54 +83,20 @@ fn bench_forwarding_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// Head-to-head: the plain binary trie against the path-compressed
-/// trie on the same 10k-prefix table (the Ruiz-Sánchez survey's
-/// classic trade-off, DESIGN.md's FIB ablation).
-fn bench_lpm_compare(c: &mut Criterion) {
+/// Route churn on a loaded table: each of 1 000 prefixes removed and
+/// installed again, the replace/withdraw path of a flapping peer.
+fn bench_trie_churn(c: &mut Criterion) {
     let table = TableGenerator::new(3).generate(10_000);
-    let plain: LpmTrie<u32> = table
+    let trie: CompressedTrie<u32> = table
         .iter()
         .enumerate()
         .map(|(i, p)| (*p, i as u32))
         .collect();
-    let compressed: CompressedTrie<u32> = table
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (*p, i as u32))
-        .collect();
-    let probes: Vec<Ipv4Addr> = table.iter().take(1000).map(|p| p.network()).collect();
-
-    let mut group = c.benchmark_group("fib/lpm_compare");
-    group.throughput(Throughput::Elements(probes.len() as u64));
-    group.bench_function("binary_trie", |b| {
-        b.iter(|| {
-            for dst in &probes {
-                black_box(plain.lookup(*dst));
-            }
-        })
-    });
-    group.bench_function("compressed_trie", |b| {
-        b.iter(|| {
-            for dst in &probes {
-                black_box(compressed.lookup(*dst));
-            }
-        })
-    });
-    group.bench_function("binary_trie_insert_remove", |b| {
+    let mut group = c.benchmark_group("fib/churn");
+    group.throughput(Throughput::Elements(1000));
+    group.bench_function("remove_insert_10k_table", |b| {
         b.iter_batched(
-            || plain.clone(),
-            |mut trie| {
-                for prefix in table.iter().take(1000) {
-                    trie.remove(prefix);
-                    trie.insert(*prefix, 0);
-                }
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("compressed_trie_insert_remove", |b| {
-        b.iter_batched(
-            || compressed.clone(),
+            || trie.clone(),
             |mut trie| {
                 for prefix in table.iter().take(1000) {
                     trie.remove(prefix);
@@ -146,6 +112,6 @@ fn bench_lpm_compare(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_trie_insert, bench_lpm_lookup, bench_forwarding_pipeline, bench_lpm_compare
+    targets = bench_trie_insert, bench_lpm_lookup, bench_forwarding_pipeline, bench_trie_churn
 }
 criterion_main!(benches);

@@ -15,8 +15,8 @@ use crossbeam::channel::Sender;
 use bgpbench_fib::{Fib, NextHop};
 use bgpbench_rib::fxhash::FxHashMap;
 use bgpbench_rib::{
-    AdjRibOut, ExportAction, FibDirective, OutboundUpdate, PeerId, PeerInfo, RibEngine, RibError,
-    RibStats, RouteAttributes,
+    AdjRibOut, ExportAction, FibDirective, OutboundUpdate, PeerId, PeerInfo, PrefixOutcome,
+    RibEngine, RibError, RibStats, RouteAttributes,
 };
 use bgpbench_telemetry::{self as telemetry, EventKind, MetricId, SpanId};
 use bgpbench_wire::{Prefix, UpdateMessage};
@@ -230,12 +230,7 @@ impl Core {
             telemetry::event(EventKind::SessionDown, u64::from(peer.0), 0);
         }
         if let Ok(outcomes) = self.engine.remove_peer(peer) {
-            {
-                let _span = telemetry::span(SpanId::FibApply);
-                for outcome in &outcomes {
-                    self.apply_fib(outcome.fib);
-                }
-            }
+            self.apply_fib(&outcomes);
             self.propagate(outcomes.iter().map(|o| o.prefix));
             self.flush();
         }
@@ -249,12 +244,7 @@ impl Core {
             peer.stats.updates_in += 1;
             peer.stats.prefixes_in += outcomes.len() as u64;
         }
-        {
-            let _span = telemetry::span(SpanId::FibApply);
-            for outcome in &outcomes {
-                self.apply_fib(outcome.fib);
-            }
-        }
+        self.apply_fib(&outcomes);
         self.propagate(outcomes.iter().map(|o| o.prefix));
         if outcomes.len() >= EAGER_FLUSH_TRANSACTIONS {
             self.flush();
@@ -262,54 +252,62 @@ impl Core {
         Ok(())
     }
 
-    fn apply_fib(&mut self, directive: Option<FibDirective>) {
-        match directive {
-            Some(FibDirective::Install { prefix, next_hop }) => {
-                telemetry::incr(MetricId::FibInstalls);
-                self.fib.insert(prefix, NextHop::new(next_hop, 0));
+    /// Carries out the forwarding-table writes `outcomes` call for.
+    fn apply_fib(&mut self, outcomes: &[PrefixOutcome]) {
+        let _span = telemetry::span(SpanId::FibApply);
+        for outcome in outcomes {
+            match outcome.fib {
+                Some(FibDirective::Install { prefix, next_hop }) => {
+                    telemetry::incr(MetricId::FibInstalls);
+                    self.fib.insert(prefix, NextHop::new(next_hop, 0));
+                }
+                Some(FibDirective::Remove { prefix }) => {
+                    telemetry::incr(MetricId::FibRemoves);
+                    self.fib.remove(&prefix);
+                }
+                None => {}
             }
-            Some(FibDirective::Remove { prefix }) => {
-                telemetry::incr(MetricId::FibRemoves);
-                self.fib.remove(&prefix);
-            }
-            None => {}
         }
+        telemetry::gauge(MetricId::FibNodes, self.fib.node_count() as u64);
+        telemetry::gauge(MetricId::FibBytes, self.fib.heap_bytes() as u64);
     }
 
     /// Re-syncs the advertisement state of `prefixes` toward every
     /// established peer and stages the resulting UPDATEs.
-    fn propagate(&mut self, prefixes: impl Iterator<Item = Prefix> + Clone) {
+    fn propagate(&mut self, prefixes: impl Iterator<Item = Prefix>) {
         let _span = telemetry::span(SpanId::DaemonPropagate);
         telemetry::incr(MetricId::DaemonPropagateRounds);
-        // The exported form of an attribute set is peer-independent
-        // (own AS prepended, next hop rewritten), and the engine interns
-        // attribute sets, so one cache keyed on pointer identity covers
-        // every prefix and every peer in this propagation round. This
+        // What to advertise for a prefix is the same toward every peer
+        // but the one it was learned from, so each prefix's best route
+        // is looked up once, here, not once per peer. Its exported form
+        // (own AS prepended, next hop rewritten) is peer-independent
+        // too, and the engine interns attribute sets, so one cache keyed
+        // on pointer identity covers every prefix of the round. This
         // also keeps Adj-RIB-Out grouping on the pointer fast path.
+        let loc_rib = self.engine.loc_rib();
         let mut exported: FxHashMap<*const RouteAttributes, Arc<RouteAttributes>> =
             FxHashMap::default();
+        let resolved: Vec<_> = prefixes
+            .map(|prefix| {
+                let best = loc_rib.best(&prefix).map(|(learned_from, attrs)| {
+                    let exported = exported.entry(Arc::as_ptr(attrs)).or_insert_with(|| {
+                        Arc::new(attrs.exported(self.config.local_asn, self.config.next_hop))
+                    });
+                    (learned_from, Arc::clone(exported))
+                });
+                (prefix, best)
+            })
+            .collect();
         let mut actions: Vec<ExportAction> = Vec::new();
         for (&id, peer) in &mut self.peers {
             actions.clear();
-            for prefix in prefixes.clone() {
-                let desired = self.engine.loc_rib().get(&prefix).and_then(|route| {
-                    if route.learned_from() == id {
-                        None // never advertise a route back to its source
-                    } else {
-                        Some(Arc::clone(
-                            exported
-                                .entry(Arc::as_ptr(route.attrs()))
-                                .or_insert_with(|| {
-                                    Arc::new(
-                                        route
-                                            .attrs()
-                                            .exported(self.config.local_asn, self.config.next_hop),
-                                    )
-                                }),
-                        ))
-                    }
-                });
-                actions.extend(peer.adj_out.sync_prefix(prefix, desired));
+            for (prefix, best) in &resolved {
+                let desired = match best {
+                    // Never advertise a route back to its source.
+                    Some((learned_from, attrs)) if *learned_from != id => Some(Arc::clone(attrs)),
+                    _ => None,
+                };
+                actions.extend(peer.adj_out.sync_prefix(*prefix, desired));
             }
             if !actions.is_empty() {
                 peer.stage(&actions, self.config.export_prefixes_per_update);
@@ -391,30 +389,141 @@ mod tests {
 
     /// One UPDATE announcing the given hosts.
     fn announce(hosts: std::ops::Range<u32>) -> UpdateMessage {
-        UpdateMessage::builder()
-            .attribute(PathAttribute::Origin(Origin::Igp))
-            .attribute(PathAttribute::AsPath(AsPath::from_sequence([Asn(65001)])))
-            .attribute(PathAttribute::NextHop(Ipv4Addr::new(127, 0, 0, 1)))
-            .announce_all(hosts.map(host))
-            .build()
+        update(&[65001], 0..0, hosts)
     }
 
     /// The prefixes announced in a buffer handed to a writer.
     fn announced(delivered: &[u8]) -> Vec<Prefix> {
-        let mut decoder = bgpbench_wire::StreamDecoder::new();
-        decoder.extend(delivered);
-        let messages = decoder.drain().unwrap();
-        messages
-            .iter()
-            .flat_map(|message| match message {
-                Message::Update(update) => update.nlri().to_vec(),
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect()
+        changes(delivered).1
     }
 
     fn staged(core: &Core, peer: PeerId) -> usize {
         core.peers[&peer].staged.len()
+    }
+
+    /// One UPDATE withdrawing and announcing the given hosts, the
+    /// announcements over `path`.
+    fn update(
+        path: &[u16],
+        withdraw: std::ops::Range<u32>,
+        announce: std::ops::Range<u32>,
+    ) -> UpdateMessage {
+        UpdateMessage::builder()
+            .withdraw_all(withdraw.map(host))
+            .attribute(PathAttribute::Origin(Origin::Igp))
+            .attribute(PathAttribute::AsPath(AsPath::from_sequence(
+                path.iter().copied().map(Asn),
+            )))
+            .attribute(PathAttribute::NextHop(Ipv4Addr::new(127, 0, 0, 1)))
+            .announce_all(announce.map(host))
+            .build()
+    }
+
+    /// The prefixes withdrawn and announced in a byte stream.
+    fn changes(delivered: &[u8]) -> (Vec<Prefix>, Vec<Prefix>) {
+        let mut decoder = bgpbench_wire::StreamDecoder::new();
+        decoder.extend(delivered);
+        let mut withdrawn = Vec::new();
+        let mut announced = Vec::new();
+        for message in decoder.drain().unwrap() {
+            let Message::Update(update) = message else {
+                panic!("unexpected {message:?}");
+            };
+            withdrawn.extend_from_slice(update.withdrawn());
+            announced.extend_from_slice(update.nlri());
+        }
+        (withdrawn, announced)
+    }
+
+    /// What propagating `prefixes` must send `peer`, the plain way: one
+    /// Loc-RIB lookup per prefix for this peer alone, owned messages,
+    /// each encoded on its own.
+    fn reference_bytes(
+        core: &Core,
+        peer: PeerId,
+        adj_out: &mut AdjRibOut,
+        prefixes: &[Prefix],
+    ) -> Vec<u8> {
+        let config = core.config();
+        let actions: Vec<ExportAction> = prefixes
+            .iter()
+            .filter_map(|prefix| {
+                let desired = core
+                    .engine
+                    .loc_rib()
+                    .get(prefix)
+                    .filter(|route| route.learned_from() != peer)
+                    .map(|route| {
+                        Arc::new(route.attrs().exported(config.local_asn, config.next_hop))
+                    });
+                adj_out.sync_prefix(*prefix, desired)
+            })
+            .collect();
+        AdjRibOut::to_updates(&actions, config.export_prefixes_per_update)
+            .into_iter()
+            .flat_map(|update| Message::Update(update).encode().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn each_peer_is_sent_the_best_route_unless_it_is_the_source() {
+        let mut core = Core::new(DaemonConfig::default());
+        let (a, a_rx) = register(&mut core, 65001);
+        let (b, b_rx) = register(&mut core, 65002);
+        let (observer, observer_rx) = register(&mut core, 65003);
+        let peers = [(a, &a_rx), (b, &b_rx), (observer, &observer_rx)];
+        let mut reference = [AdjRibOut::new(), AdjRibOut::new(), AdjRibOut::new()];
+
+        // Applies one UPDATE, checks every peer's bytes against the
+        // reference, and returns what each was told, decoded.
+        let mut step = |core: &mut Core, from: PeerId, update: UpdateMessage| {
+            core.batch().apply_update(from, &update).unwrap();
+            let prefixes: Vec<Prefix> = update
+                .withdrawn()
+                .iter()
+                .chain(update.nlri())
+                .copied()
+                .collect();
+            let mut told = Vec::new();
+            for ((peer, rx), adj_out) in peers.iter().zip(&mut reference) {
+                let delivered: Vec<u8> = std::iter::from_fn(|| rx.try_recv().ok())
+                    .flatten()
+                    .collect();
+                let expected = reference_bytes(core, *peer, adj_out, &prefixes);
+                assert_eq!(delivered, expected, "bytes sent to {peer:?}");
+                told.push(changes(&delivered));
+            }
+            told
+        };
+        let hosts = |range: std::ops::Range<u32>| range.map(host).collect::<Vec<_>>();
+        let nothing = (Vec::new(), Vec::new());
+
+        // A is the only source of 1..5.
+        let told = step(&mut core, a, update(&[65001, 64999], 0..0, 1..5));
+        assert_eq!(told[0], nothing);
+        assert_eq!(told[1], (vec![], hosts(1..5)));
+        assert_eq!(told[2], (vec![], hosts(1..5)));
+
+        // B brings a shorter path for 3 and 4, and 5 and 6 besides. A,
+        // no longer the source of 3 and 4, is sent their replacement; B,
+        // now their source, has A's routes to them withdrawn.
+        let told = step(&mut core, b, update(&[65002], 0..0, 3..7));
+        assert_eq!(told[0], (vec![], hosts(3..7)));
+        assert_eq!(told[1], (hosts(3..5), vec![]));
+        assert_eq!(told[2], (vec![], hosts(3..7)));
+
+        // A withdraws 1, 2 and 3: 1 and 2 are gone, 3 stays B's.
+        let told = step(&mut core, a, update(&[], 1..4, 0..0));
+        assert_eq!(told[0], nothing);
+        assert_eq!(told[1], (hosts(1..3), vec![]));
+        assert_eq!(told[2], (hosts(1..3), vec![]));
+
+        // B withdraws 4 and 5: 4 falls back to A's path, so the roles
+        // swap again; 5 is gone.
+        let told = step(&mut core, b, update(&[], 4..6, 0..0));
+        assert_eq!(told[0], (hosts(4..6), vec![]));
+        assert_eq!(told[1], (vec![], hosts(4..5)));
+        assert_eq!(told[2], (hosts(5..6), hosts(4..5)));
     }
 
     #[test]

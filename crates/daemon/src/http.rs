@@ -151,6 +151,12 @@ mod tests {
             metrics.contains("# TYPE bgpbench_session_flaps counter"),
             "stable series present even at zero: {metrics}"
         );
+        for gauge in ["bgpbench_fib_nodes", "bgpbench_fib_bytes"] {
+            assert!(
+                metrics.contains(&format!("# TYPE {gauge} gauge")),
+                "{metrics}"
+            );
+        }
 
         let trace = http_get(addr, "/trace").expect("scrape /trace");
         assert!(trace.starts_with("HTTP/1.1 200 OK"), "{trace}");

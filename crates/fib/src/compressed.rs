@@ -1,41 +1,78 @@
 //! A path-compressed (Patricia/radix) trie — the classic software
-//! alternative to the plain binary trie, per the lookup-algorithm
-//! survey the paper cites (Ruiz-Sánchez et al., reference [9]).
+//! longest-prefix-match structure, per the lookup-algorithm survey the
+//! paper cites (Ruiz-Sánchez et al., reference [9]).
 //!
 //! Chains of single-child nodes are collapsed into one node labelled
-//! with the common prefix, so lookups touch O(distinct branch points)
-//! nodes instead of O(32). The `lpm_compare` criterion bench contrasts
-//! it with [`crate::LpmTrie`].
+//! with the common prefix, so a walk touches O(distinct branch points)
+//! nodes instead of O(32). Two things keep a full-table walk out of
+//! main memory:
+//!
+//! * **A direct /16 root.** Every prefix of length ≥ 16 lives in the
+//!   sub-trie of its /16, found by indexing a 65 536-entry table with
+//!   the top 16 address bits; the few shorter prefixes share one
+//!   ordinary trie. A walk is the table load plus the 3–6 nodes below
+//!   it, not the ~20 dependent loads a single-rooted trie of 500k
+//!   prefixes needs. Any match in an address's /16 is longer than any
+//!   match among the short prefixes, so looking the short trie up only
+//!   when the /16 had no match is still longest-prefix match.
+//! * **A chunked arena.** Nodes sit in fixed-size chunks and name each
+//!   other by `u32` id, with removed nodes recycled through a free
+//!   list: no allocation per node, 24-byte nodes for a next hop, and a
+//!   table that grows by whole chunks without ever being copied (one
+//!   growing `Vec` was measured: each doubling leaves a hole behind,
+//!   and peak RSS at 500k prefixes rose 14.5 %).
 
 use std::net::Ipv4Addr;
 
 use bgpbench_wire::Prefix;
+
+/// "No node". Node ids are arena index + 1, so a zeroed root table —
+/// which the allocator can hand out without touching its pages — is an
+/// empty one.
+const NIL: u32 = 0;
+
+/// Nodes per arena chunk.
+const CHUNK_BITS: u32 = 14;
+const CHUNK_LEN: usize = 1 << CHUNK_BITS;
+
+/// Prefixes at least this long are filed under their top `ROOT_BITS`
+/// address bits.
+const ROOT_BITS: u8 = 16;
 
 #[derive(Debug, Clone)]
 struct Node<T> {
     /// The absolute prefix this node stands for (its "label").
     key: Prefix,
     entry: Option<T>,
-    /// Children branch on the bit at depth `key.len()`.
-    children: [Option<Box<Node<T>>>; 2],
+    /// Children branch on the bit at depth `key.len()`. A node without
+    /// an entry always has both: it exists only as a branch point. On
+    /// the free list, `children[0]` is the next free node.
+    children: [u32; 2],
 }
 
 impl<T> Node<T> {
-    fn leaf(key: Prefix, entry: Option<T>) -> Self {
+    fn leaf(key: Prefix, value: T) -> Self {
         Node {
             key,
-            entry,
-            children: [None, None],
+            entry: Some(value),
+            children: [NIL, NIL],
         }
-    }
-
-    fn child_count(&self) -> usize {
-        self.children.iter().filter(|c| c.is_some()).count()
     }
 }
 
-/// A path-compressed LPM trie with the same interface as
-/// [`crate::LpmTrie`].
+/// Where a node id is stored: the place an insert or a removal rewrites
+/// to hang a different node there.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// The top of the trie of prefixes shorter than `ROOT_BITS`.
+    Short,
+    /// The top of one /16's sub-trie.
+    Bucket(usize),
+    /// A child link of the node with this id.
+    Child(u32, usize),
+}
+
+/// A path-compressed LPM trie over IPv4 prefixes.
 ///
 /// ```
 /// use bgpbench_fib::CompressedTrie;
@@ -48,10 +85,35 @@ impl<T> Node<T> {
 /// assert_eq!(*value, "fine");
 /// assert_eq!(prefix.len(), 16);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CompressedTrie<T> {
-    root: Node<T>,
+    /// The arena. Every chunk has capacity `CHUNK_LEN` and all but the
+    /// last are full.
+    chunks: Vec<Vec<Node<T>>>,
+    /// Head of the free list.
+    free: u32,
+    /// Nodes in use (allocated and not on the free list).
+    live: usize,
+    short: u32,
+    roots: Vec<u32>,
     len: usize,
+}
+
+impl<T: Clone> Clone for CompressedTrie<T> {
+    fn clone(&self) -> Self {
+        // Not `Vec::clone`, which sizes the last chunk to its length
+        // and leaves the copy's next insert to reallocate it.
+        let chunks = self.chunks.iter().map(|chunk| {
+            let mut copy = Vec::with_capacity(CHUNK_LEN);
+            copy.extend_from_slice(chunk);
+            copy
+        });
+        CompressedTrie {
+            chunks: chunks.collect(),
+            roots: self.roots.clone(),
+            ..*self
+        }
+    }
 }
 
 impl<T> Default for CompressedTrie<T> {
@@ -61,10 +123,15 @@ impl<T> Default for CompressedTrie<T> {
 }
 
 impl<T> CompressedTrie<T> {
-    /// Creates an empty trie.
+    /// Creates an empty trie. Only the root table is allocated; the
+    /// first chunk comes with the first insert.
     pub fn new() -> Self {
         CompressedTrie {
-            root: Node::leaf(Prefix::DEFAULT, None),
+            chunks: Vec::new(),
+            free: NIL,
+            live: 0,
+            short: NIL,
+            roots: vec![NIL; 1 << ROOT_BITS],
             len: 0,
         }
     }
@@ -79,114 +146,194 @@ impl<T> CompressedTrie<T> {
         self.len == 0
     }
 
+    fn node(&self, id: u32) -> &Node<T> {
+        let index = (id - 1) as usize;
+        &self.chunks[index >> CHUNK_BITS][index & (CHUNK_LEN - 1)]
+    }
+
+    fn node_mut(&mut self, id: u32) -> &mut Node<T> {
+        let index = (id - 1) as usize;
+        &mut self.chunks[index >> CHUNK_BITS][index & (CHUNK_LEN - 1)]
+    }
+
+    /// Stores `node`, in a recycled slot if there is one.
+    fn alloc(&mut self, node: Node<T>) -> u32 {
+        self.live += 1;
+        if self.free != NIL {
+            let id = self.free;
+            let recycled = std::mem::replace(self.node_mut(id), node);
+            self.free = recycled.children[0];
+            return id;
+        }
+        if self.chunks.last().is_none_or(|c| c.len() == CHUNK_LEN) {
+            self.chunks.push(Vec::with_capacity(CHUNK_LEN));
+        }
+        let chunk = self.chunks.len() - 1;
+        self.chunks[chunk].push(node);
+        let id = (chunk << CHUNK_BITS) + self.chunks[chunk].len();
+        assert!(id <= u32::MAX as usize, "more nodes than a u32 id can name");
+        id as u32
+    }
+
+    /// Puts the node on the free list, dropping what it held.
+    fn release(&mut self, id: u32) {
+        self.live -= 1;
+        let next = self.free;
+        self.free = id;
+        let node = self.node_mut(id);
+        node.entry = None;
+        node.children = [next, NIL];
+    }
+
+    /// The slot holding the top of the trie `prefix` belongs to.
+    fn top_slot(prefix: &Prefix) -> Slot {
+        if prefix.len() >= ROOT_BITS {
+            Slot::Bucket(bucket_of(prefix.network_bits()))
+        } else {
+            Slot::Short
+        }
+    }
+
+    fn link(&self, slot: Slot) -> u32 {
+        match slot {
+            Slot::Short => self.short,
+            Slot::Bucket(bucket) => self.roots[bucket],
+            Slot::Child(id, bit) => self.node(id).children[bit],
+        }
+    }
+
+    fn set_link(&mut self, slot: Slot, id: u32) {
+        match slot {
+            Slot::Short => self.short = id,
+            Slot::Bucket(bucket) => self.roots[bucket] = id,
+            Slot::Child(parent, bit) => self.node_mut(parent).children[bit] = id,
+        }
+    }
+
     /// Inserts `value` under `prefix`, returning the previous value
     /// for that exact prefix if there was one.
     pub fn insert(&mut self, prefix: Prefix, value: T) -> Option<T> {
-        let old = Self::insert_rec(&mut self.root, prefix, value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
-    }
-
-    fn insert_rec(node: &mut Node<T>, prefix: Prefix, value: T) -> Option<T> {
-        let common = common_prefix_len(&node.key, &prefix);
-        if common < node.key.len() {
-            // Split: the new internal node is the common prefix.
-            let split_key = Prefix::new_masked(prefix.network(), common).expect("common <= 32");
-            let old_node = std::mem::replace(node, Node::leaf(split_key, None));
-            let old_bit = bit_at(old_node.key.network_bits(), common);
-            node.children[old_bit] = Some(Box::new(old_node));
-            if prefix.len() == common {
-                node.entry = Some(value);
-                return None;
+        // `slot` is where `id` was read from.
+        let mut slot = Self::top_slot(&prefix);
+        let mut id = self.link(slot);
+        while id != NIL {
+            let node = self.node_mut(id);
+            let key = node.key;
+            let common = common_prefix_len(&key, &prefix);
+            if common == key.len() {
+                // The node's key is a prefix of `prefix`.
+                if prefix.len() == key.len() {
+                    let old = node.entry.replace(value);
+                    if old.is_none() {
+                        self.len += 1;
+                    }
+                    return old;
+                }
+                let bit = bit_at(prefix.network_bits(), key.len());
+                slot = Slot::Child(id, bit);
+                id = node.children[bit];
+                continue;
             }
-            let new_bit = bit_at(prefix.network_bits(), common);
-            debug_assert_ne!(old_bit, new_bit, "split implies divergence");
-            node.children[new_bit] = Some(Box::new(Node::leaf(prefix, Some(value))));
+            // The keys part ways above this node: a node for their
+            // common prefix takes its place and adopts it. Both keys
+            // belong to this trie, so their common prefix does too.
+            let mut split = Node {
+                key: prefix.truncated(common),
+                entry: None,
+                children: [NIL, NIL],
+            };
+            split.children[bit_at(key.network_bits(), common)] = id;
+            if prefix.len() == common {
+                split.entry = Some(value);
+            } else {
+                split.children[bit_at(prefix.network_bits(), common)] =
+                    self.alloc(Node::leaf(prefix, value));
+            }
+            let split = self.alloc(split);
+            self.set_link(slot, split);
+            self.len += 1;
             return None;
         }
-        // The node's key is a prefix of `prefix`.
-        if prefix.len() == node.key.len() {
-            return node.entry.replace(value);
-        }
-        let bit = bit_at(prefix.network_bits(), node.key.len());
-        match &mut node.children[bit] {
-            Some(child) => Self::insert_rec(child, prefix, value),
-            slot @ None => {
-                *slot = Some(Box::new(Node::leaf(prefix, Some(value))));
-                None
-            }
-        }
+        let leaf = self.alloc(Node::leaf(prefix, value));
+        self.set_link(slot, leaf);
+        self.len += 1;
+        None
     }
 
     /// Removes the entry stored under exactly `prefix`, splicing out
     /// pass-through nodes.
     pub fn remove(&mut self, prefix: &Prefix) -> Option<T> {
-        let removed = Self::remove_rec(&mut self.root, prefix, true);
-        if removed.is_some() {
-            self.len -= 1;
-        }
-        removed
-    }
-
-    fn remove_rec(node: &mut Node<T>, prefix: &Prefix, is_root: bool) -> Option<T> {
-        if node.key.len() == prefix.len() {
-            if node.key != *prefix {
+        // `slot` is where `id` was read from; `parent` is the node above
+        // it and the slot that one was read from.
+        let mut slot = Self::top_slot(prefix);
+        let mut id = self.link(slot);
+        let mut parent: Option<(Slot, u32)> = None;
+        loop {
+            if id == NIL {
                 return None;
             }
-            let removed = node.entry.take();
-            if removed.is_some() && !is_root {
-                Self::maybe_splice(node);
+            let node = self.node(id);
+            if node.key.len() >= prefix.len() {
+                if node.key != *prefix {
+                    return None;
+                }
+                break;
             }
-            return removed;
-        }
-        if !node.key.covers(prefix) {
-            return None;
-        }
-        let bit = bit_at(prefix.network_bits(), node.key.len());
-        let child = node.children[bit].as_deref_mut()?;
-        let removed = Self::remove_rec(child, prefix, false);
-        if removed.is_some() {
-            if child.entry.is_none() && child.child_count() == 0 {
-                node.children[bit] = None;
+            if !node.key.covers(prefix) {
+                return None;
             }
-            if !is_root {
-                Self::maybe_splice(node);
+            let bit = bit_at(prefix.network_bits(), node.key.len());
+            parent = Some((slot, id));
+            slot = Slot::Child(id, bit);
+            id = node.children[bit];
+        }
+        let node = self.node_mut(id);
+        let removed = node.entry.take()?;
+        let children = node.children;
+        self.len -= 1;
+        match children {
+            [NIL, NIL] => {
+                self.set_link(slot, NIL);
+                self.release(id);
+                // A branch point left with one child passes it up. An
+                // emptied /16 has no parent and just gives its root back.
+                if let Some((parent_slot, parent_id)) = parent {
+                    let above = self.node(parent_id);
+                    if above.entry.is_none() {
+                        let [left, right] = above.children;
+                        self.set_link(parent_slot, if left == NIL { right } else { left });
+                        self.release(parent_id);
+                    }
+                }
             }
+            [only, NIL] | [NIL, only] => {
+                self.set_link(slot, only);
+                self.release(id);
+            }
+            // Two children: the node stays as their branch point.
+            _ => {}
         }
-        removed
-    }
-
-    /// Collapses an entry-less single-child node into its child.
-    fn maybe_splice(node: &mut Node<T>) {
-        if node.entry.is_none() && node.child_count() == 1 {
-            let child = node
-                .children
-                .iter_mut()
-                .find_map(Option::take)
-                .expect("child_count == 1");
-            *node = *child;
-        }
+        Some(removed)
     }
 
     /// Returns the value stored under exactly `prefix`.
     pub fn get(&self, prefix: &Prefix) -> Option<&T> {
-        let mut node = &self.root;
-        loop {
-            if node.key.len() == prefix.len() {
+        let mut id = self.link(Self::top_slot(prefix));
+        while id != NIL {
+            let node = self.node(id);
+            if node.key.len() >= prefix.len() {
                 return if node.key == *prefix {
                     node.entry.as_ref()
                 } else {
                     None
                 };
             }
-            if node.key.len() > prefix.len() || !node.key.covers(prefix) {
+            if !node.key.covers(prefix) {
                 return None;
             }
-            let bit = bit_at(prefix.network_bits(), node.key.len());
-            node = node.children[bit].as_deref()?;
+            id = node.children[bit_at(prefix.network_bits(), node.key.len())];
         }
+        None
     }
 
     /// Whether an entry exists under exactly `prefix`.
@@ -196,64 +343,79 @@ impl<T> CompressedTrie<T> {
 
     /// Longest-prefix-match lookup.
     pub fn lookup(&self, addr: Ipv4Addr) -> Option<(&Prefix, &T)> {
-        let mut best: Option<(&Prefix, &T)> = None;
-        let mut node = &self.root;
-        loop {
+        self.longest_match(self.roots[bucket_of(u32::from(addr))], addr)
+            .or_else(|| self.longest_match(self.short, addr))
+    }
+
+    /// The longest match for `addr` in the trie whose top is `id`.
+    fn longest_match(&self, mut id: u32, addr: Ipv4Addr) -> Option<(&Prefix, &T)> {
+        let mut best = None;
+        while id != NIL {
+            let node = self.node(id);
             if !node.key.contains(addr) {
-                return best;
+                break;
             }
             if let Some(value) = &node.entry {
                 best = Some((&node.key, value));
             }
             if node.key.len() == 32 {
-                return best;
+                break;
             }
-            let bit = bit_at(u32::from(addr), node.key.len());
-            match node.children[bit].as_deref() {
-                Some(child) => node = child,
-                None => return best,
-            }
+            id = node.children[bit_at(u32::from(addr), node.key.len())];
         }
+        best
     }
 
-    /// Iterates over all `(prefix, value)` pairs in lexicographic
-    /// order.
+    /// Iterates over all `(prefix, value)` pairs in [`Prefix`] order.
     pub fn iter(&self) -> impl Iterator<Item = (&Prefix, &T)> {
-        let mut stack = vec![&self.root];
-        std::iter::from_fn(move || {
-            while let Some(node) = stack.pop() {
-                if let Some(right) = node.children[1].as_deref() {
-                    stack.push(right);
-                }
-                if let Some(left) = node.children[0].as_deref() {
-                    stack.push(left);
-                }
-                if let Some(value) = &node.entry {
-                    return Some((&node.key, value));
-                }
-            }
-            None
+        // Each side comes out sorted (a /16's prefixes all sort before
+        // the next /16's); the short prefixes interleave with them.
+        let mut short = self.preorder(std::iter::once(self.short)).peekable();
+        let mut long = self.preorder(self.roots.iter().copied()).peekable();
+        std::iter::from_fn(move || match (short.peek(), long.peek()) {
+            (Some((s, _)), Some((l, _))) if s < l => short.next(),
+            (Some(_), None) => short.next(),
+            _ => long.next(),
         })
     }
 
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        self.root = Node::leaf(Prefix::DEFAULT, None);
-        self.len = 0;
+    /// Pre-order walk — which is `Prefix` order — of the tries whose
+    /// tops are `tops`, one after the other.
+    fn preorder<'a>(
+        &'a self,
+        mut tops: impl Iterator<Item = u32> + 'a,
+    ) -> impl Iterator<Item = (&'a Prefix, &'a T)> + 'a {
+        let mut stack = Vec::new();
+        std::iter::from_fn(move || loop {
+            let id = match stack.pop() {
+                Some(id) => id,
+                None => tops.find(|&top| top != NIL)?,
+            };
+            let node = self.node(id);
+            let [left, right] = node.children;
+            stack.extend([right, left].into_iter().filter(|&child| child != NIL));
+            if let Some(value) = &node.entry {
+                return Some((&node.key, value));
+            }
+        })
     }
 
-    /// Number of trie nodes (compression diagnostic: compare with the
-    /// plain binary trie's node count).
+    /// Removes every entry and gives the chunks back.
+    pub fn clear(&mut self) {
+        *self = CompressedTrie::new();
+    }
+
+    /// Number of trie nodes in use, the root table counting as one: at
+    /// most `2 * len() + 1`, and 1 when empty.
     pub fn node_count(&self) -> usize {
-        fn count<T>(node: &Node<T>) -> usize {
-            1 + node
-                .children
-                .iter()
-                .flatten()
-                .map(|c| count(c))
-                .sum::<usize>()
-        }
-        count(&self.root)
+        self.live + 1
+    }
+
+    /// Bytes of heap the trie holds: its chunks, full or not, and the
+    /// root table.
+    pub fn heap_bytes(&self) -> usize {
+        self.chunks.len() * CHUNK_LEN * std::mem::size_of::<Node<T>>()
+            + self.roots.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -265,6 +427,11 @@ impl<T> FromIterator<(Prefix, T)> for CompressedTrie<T> {
         }
         trie
     }
+}
+
+/// The root-table index of the /16 an address falls in.
+fn bucket_of(bits: u32) -> usize {
+    (bits >> (32 - u32::from(ROOT_BITS))) as usize
 }
 
 fn bit_at(bits: u32, depth: u8) -> usize {

@@ -3,12 +3,12 @@
 //! This crate implements the *data plane* side of the benchmarked
 //! routers:
 //!
-//! * [`LpmTrie`] — a binary trie keyed by IPv4 prefixes supporting
-//!   longest-prefix-match lookup, and [`CompressedTrie`] — its
-//!   path-compressed (Patricia) refinement;
-//! * [`Fib`] — the forwarding table proper (backed by the compressed
-//!   trie), mapping prefixes to next hops, with a generation counter so
-//!   the control plane can observe update visibility;
+//! * [`CompressedTrie`] — a path-compressed (Patricia) trie keyed by
+//!   IPv4 prefixes supporting longest-prefix-match lookup, rooted at
+//!   the /16 and stored in a chunked arena;
+//! * [`Fib`] — the forwarding table proper (backed by that trie),
+//!   mapping prefixes to next hops, with a generation counter so the
+//!   control plane can observe update visibility;
 //! * [`Ipv4Header`] and the RFC 1071/1624 checksum helpers
 //!   ([`internet_checksum`], [`incremental_update`]);
 //! * [`Forwarder`] — an RFC 1812-compliant forwarding pipeline
@@ -38,11 +38,9 @@ mod compressed;
 mod fib;
 mod forwarder;
 mod packet;
-mod trie;
 
 pub use checksum::{incremental_update, internet_checksum};
 pub use compressed::CompressedTrie;
 pub use fib::{Fib, NextHop};
 pub use forwarder::{DropReason, ForwardDecision, Forwarder, ForwarderStats};
 pub use packet::{Ipv4Header, PacketError, IPV4_HEADER_LEN};
-pub use trie::LpmTrie;

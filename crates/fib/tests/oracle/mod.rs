@@ -1,5 +1,7 @@
-//! A binary trie keyed by IPv4 prefixes with longest-prefix-match
-//! lookup.
+//! The test oracle: a binary trie keyed by IPv4 prefixes with
+//! longest-prefix-match lookup. It was the crate's first FIB structure;
+//! one `Box` per prefix bit makes it far too slow to forward with and
+//! simple enough to check `CompressedTrie` against.
 
 use std::net::Ipv4Addr;
 
@@ -30,18 +32,6 @@ impl<T> Node<T> {
 /// (cited as the paper's reference \[9\]); lookups walk at most 32 levels
 /// and track the last node that carried an entry, yielding the longest
 /// matching prefix.
-///
-/// ```
-/// use bgpbench_fib::LpmTrie;
-/// use std::net::Ipv4Addr;
-///
-/// let mut trie = LpmTrie::new();
-/// trie.insert("10.0.0.0/8".parse().unwrap(), "coarse");
-/// trie.insert("10.1.0.0/16".parse().unwrap(), "fine");
-/// let (prefix, value) = trie.lookup(Ipv4Addr::new(10, 1, 2, 3)).unwrap();
-/// assert_eq!(*value, "fine");
-/// assert_eq!(prefix.len(), 16);
-/// ```
 #[derive(Debug, Clone)]
 pub struct LpmTrie<T> {
     root: Node<T>,

@@ -1,6 +1,7 @@
 //! The Adj-RIB-Out: per-neighbor advertisement state and UPDATE
 //! generation (RFC 4271 §3.2, §9.2).
 
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use bgpbench_telemetry::{self as telemetry, MetricId, SpanId};
@@ -154,14 +155,18 @@ impl AdjRibOut {
     ) -> Option<ExportAction> {
         match desired {
             Some(attrs) => {
-                let unchanged = self
-                    .advertised
-                    .get(&prefix)
-                    .is_some_and(|old| Arc::ptr_eq(old, &attrs) || old == &attrs);
-                if unchanged {
-                    return None;
+                match self.advertised.entry(prefix) {
+                    Entry::Occupied(mut slot) => {
+                        let old = slot.get();
+                        if Arc::ptr_eq(old, &attrs) || old == &attrs {
+                            return None;
+                        }
+                        slot.insert(attrs.clone());
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert(attrs.clone());
+                    }
                 }
-                self.advertised.insert(prefix, attrs.clone());
                 telemetry::incr(MetricId::AdjOutActions);
                 Some(ExportAction::Announce(prefix, attrs))
             }
@@ -338,6 +343,30 @@ mod tests {
         ));
         // Withdrawing again: no action.
         assert_eq!(out.sync_prefix(p("10.0.0.0/8"), None), None);
+    }
+
+    #[test]
+    fn sync_prefix_compares_attributes_by_value_not_by_allocation() {
+        let mut out = AdjRibOut::new();
+        let a = attrs(1);
+        out.sync_prefix(p("10.0.0.0/8"), Some(a.clone()));
+        // Value-equal but separately allocated: still unchanged, and
+        // the recorded allocation stays the first one.
+        let b = Arc::new((*a).clone());
+        assert_eq!(out.sync_prefix(p("10.0.0.0/8"), Some(b)), None);
+        assert!(out
+            .get(&p("10.0.0.0/8"))
+            .is_some_and(|held| Arc::ptr_eq(held, &a)));
+        // A different value replaces it.
+        let c = attrs(2);
+        assert_eq!(
+            out.sync_prefix(p("10.0.0.0/8"), Some(c.clone())),
+            Some(ExportAction::Announce(p("10.0.0.0/8"), c.clone()))
+        );
+        assert!(out
+            .get(&p("10.0.0.0/8"))
+            .is_some_and(|held| Arc::ptr_eq(held, &c)));
+        assert_eq!(out.len(), 1);
     }
 
     #[test]

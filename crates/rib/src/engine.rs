@@ -272,9 +272,17 @@ impl<'a> LocRib<'a> {
 
     /// The selected route for `prefix`, if any.
     pub fn get(&self, prefix: &Prefix) -> Option<Route> {
+        self.best(prefix)
+            .map(|(peer, attrs)| Route::new(*prefix, attrs.clone(), peer))
+    }
+
+    /// The peer the selected route for `prefix` was learned from and
+    /// its attributes, borrowed: [`LocRib::get`] without building the
+    /// [`Route`], for callers that only compare or re-export.
+    pub fn best(&self, prefix: &Prefix) -> Option<(PeerId, &'a Arc<RouteAttributes>)> {
         self.rib.get(prefix).map(|entry| {
             let (peer, attrs) = entry.best_route();
-            Route::new(*prefix, attrs.clone(), *peer)
+            (*peer, attrs)
         })
     }
 

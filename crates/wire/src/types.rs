@@ -164,6 +164,24 @@ impl Prefix {
         other.len >= self.len && mask_bits(other.bits, self.len) == self.bits
     }
 
+    /// The covering prefix of `len` bits; `len` is clamped to this
+    /// prefix's own length, so the result always covers `self`.
+    ///
+    /// ```
+    /// use bgpbench_wire::Prefix;
+    /// let p: Prefix = "10.42.7.0/24".parse().unwrap();
+    /// assert_eq!(p.truncated(16), "10.42.0.0/16".parse().unwrap());
+    /// assert_eq!(p.truncated(0), Prefix::DEFAULT);
+    /// assert_eq!(p.truncated(30), p);
+    /// ```
+    pub fn truncated(self, len: u8) -> Prefix {
+        let len = len.min(self.len);
+        Prefix {
+            bits: mask_bits(self.bits, len),
+            len,
+        }
+    }
+
     /// Number of octets this prefix occupies on the wire
     /// (RFC 4271 §4.3: `(len + 7) / 8`, plus the length octet).
     pub fn wire_len(&self) -> usize {
