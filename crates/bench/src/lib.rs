@@ -1,6 +1,8 @@
 //! Shared driver for the benchmark binaries (`table1`–`table3`,
-//! `fig3`–`fig6`, `fig34_breakdown`, `ablation_*`) and the criterion
-//! micro-benchmarks.
+//! `fig3`–`fig6`, `fig34_breakdown`, `ablation_*`, `faults`,
+//! `perf_baseline`). Host-time measurement lives in one place: the
+//! repo benchmark under `benchmark/` (end to end and per layer) and
+//! `perf_baseline`'s RIB samplers.
 //!
 //! Every binary regenerates one table or figure of the paper's
 //! evaluation section. All of them share one command line ([`cli`]):

@@ -2,35 +2,22 @@
 
 use std::net::Ipv4Addr;
 
-use bgpbench_models::{PlatformSpec, SimRouter, SPEAKER_1, SPEAKER_2};
+use bgpbench_models::{PlatformSpec, SimRouter};
 use bgpbench_speaker::{workload, SpeakerScript, WorkloadSpec};
 use bgpbench_telemetry::{self as telemetry, EventKind, SpanId};
 use bgpbench_wire::Asn;
 
 use crate::faults::FaultPlan;
+use crate::plan::{self, Action, Step};
 use crate::policy::PolicyProfile;
-use crate::scenario::{BgpOperation, Scenario, WorkloadKind};
+use crate::scenario::{BgpOperation, Scenario};
 use crate::topology::{ConvergenceRun, Topology, TopologyConfig};
 
-/// AS-path length Speaker 1 uses for its table.
-const BASE_PATH_LEN: usize = 3;
-/// Longer path for Scenario 5/6 (loses the decision process).
-const LONGER_PATH_LEN: usize = 6;
-/// Shorter path for Scenario 7/8 (wins the decision process).
-const SHORTER_PATH_LEN: usize = 2;
-
-const SPEAKER1_ASN: Asn = Asn(65001);
-const SPEAKER2_ASN: Asn = Asn(65002);
 const SPEAKER1_HOP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 const SPEAKER2_HOP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
-
-/// Announcement rounds of the MED-oscillation scenario (S15): one with
-/// a high MED (best path flips to Speaker 2), one with MED 0 (flips
-/// back to Speaker 1 on the router-ID tie-break).
-const OSCILLATION_ROUNDS: usize = 2;
-/// MED carried by the odd rounds; anything ≥ 1 trips the profile's
-/// `MedAtLeast(1)` match.
-const OSCILLATION_HIGH_MED: u32 = 50;
+/// The AS and next hop each of the simulated router's two speakers
+/// announces with (they match the peers [`SimRouter::new`] attaches).
+const SPEAKERS: [(Asn, Ipv4Addr); 2] = [(Asn(65001), SPEAKER1_HOP), (Asn(65002), SPEAKER2_HOP)];
 
 /// Parameters of one scenario run.
 #[derive(Debug, Clone, PartialEq)]
@@ -404,6 +391,9 @@ pub(crate) fn run_churn_with_router(
     (run, topology.into_router())
 }
 
+/// The simulated executor of a scenario's [`plan::phase_plan`]: each
+/// step loads a speaker script or queues an export and runs the router
+/// until the step's transactions are through.
 fn drive(
     router: &mut SimRouter,
     platform: &PlatformSpec,
@@ -417,13 +407,12 @@ fn drive(
     let workload_spec = config
         .workload
         .clone()
-        .unwrap_or_else(|| match scenario.workload() {
-            WorkloadKind::Classic => WorkloadSpec::Classic,
-            WorkloadKind::Modern => WorkloadSpec::Modern,
-        });
+        .unwrap_or_else(|| scenario.workload().spec());
     let mut source = workload_spec
         .source(config.seed)
         .unwrap_or_else(|e| panic!("workload source failed to load: {e}"));
+    // Replay sources may hold fewer prefixes than requested; phase
+    // targets follow what the source actually produced.
     let table = source.table(config.prefixes);
     assert!(
         !table.is_empty(),
@@ -431,16 +420,6 @@ fn drive(
         source.describe()
     );
     let pkt = prefixes_per_update.unwrap_or_else(|| scenario.packet_size().prefixes_per_update());
-    // Replay sources may hold fewer prefixes than requested; phase
-    // targets follow what the source actually produced.
-    let n = table.len() as u64;
-    let speaker1_base = workload::AnnounceSpec {
-        speaker_asn: SPEAKER1_ASN,
-        path_len: BASE_PATH_LEN,
-        next_hop: SPEAKER1_HOP,
-        prefixes_per_update: workload::LARGE_PACKET_PREFIXES,
-        seed: config.seed,
-    };
     // Shard count must be set while the RIB is still empty.
     router.set_rib_shards(config.rib_shards);
     router.set_cross_traffic_mbps(config.cross_traffic_mbps);
@@ -451,175 +430,47 @@ fn drive(
         router.set_import_policy(profile.import_map());
         router.set_export_policy(profile.export_map());
     }
-    let (transactions, elapsed) = match scenario.operation() {
-        BgpOperation::StartupAnnounce => {
-            mark_phase(router, 1);
-            let _span = telemetry::span(SpanId::Phase1);
-            let spec = workload::AnnounceSpec {
-                prefixes_per_update: pkt,
-                ..speaker1_base
-            };
-            router.load_script(
-                SPEAKER_1,
-                SpeakerScript::new(source.announcements(&table, &spec)),
-            );
-            (n, router.run_until_transactions(n, PHASE_LIMIT_SECS))
-        }
-        BgpOperation::EndingWithdraw => {
-            {
-                mark_phase(router, 1);
-                let _span = telemetry::span(SpanId::Phase1);
-                router.load_script(
-                    SPEAKER_1,
-                    SpeakerScript::new(source.announcements(&table, &speaker1_base)),
+    // The router's counters are cumulative, so each step runs to the
+    // running total of what has been sent (or exported) so far.
+    let mut sent = 0;
+    let mut exported = 0;
+    let mut run_step = |step: &Step| -> (u64, Option<f64>) {
+        let _span = begin_phase(router, step.phase);
+        match step.action {
+            Action::Send(traffic) => {
+                let updates = traffic.generate(&mut *source, &table);
+                let transactions = workload::transaction_count(&updates) as u64;
+                assert!(
+                    transactions > 0,
+                    "workload source {} produced an empty update stream for phase {}",
+                    source.describe(),
+                    step.phase
                 );
-                router
-                    .run_until_transactions(n, PHASE_LIMIT_SECS)
-                    .expect("setup phase must complete");
+                router.load_script(step.speaker, SpeakerScript::new(updates));
+                sent += transactions;
+                (
+                    transactions,
+                    router.run_until_transactions(sent, PHASE_LIMIT_SECS),
+                )
             }
-            mark_phase(router, 3);
-            let _span = telemetry::span(SpanId::Phase3);
-            router.load_script(
-                SPEAKER_1,
-                SpeakerScript::new(source.withdrawals(&table, pkt)),
-            );
-            (n, router.run_until_transactions(2 * n, PHASE_LIMIT_SECS))
+            Action::Export { per_update } => {
+                router.queue_export(step.speaker, per_update);
+                exported += table.len() as u64;
+                (
+                    table.len() as u64,
+                    router.run_until_exports(exported, PHASE_LIMIT_SECS),
+                )
+            }
         }
-        BgpOperation::IncrementalNoChange | BgpOperation::IncrementalChange => {
-            {
-                mark_phase(router, 1);
-                let _span = telemetry::span(SpanId::Phase1);
-                router.load_script(
-                    SPEAKER_1,
-                    SpeakerScript::new(source.announcements(&table, &speaker1_base)),
-                );
-                router
-                    .run_until_transactions(n, PHASE_LIMIT_SECS)
-                    .expect("setup phase must complete");
-            }
-            {
-                mark_phase(router, 2);
-                let _span = telemetry::span(SpanId::Phase2);
-                router.queue_export(SPEAKER_2, workload::LARGE_PACKET_PREFIXES);
-                router
-                    .run_until_exports(n, PHASE_LIMIT_SECS)
-                    .expect("export phase must complete");
-            }
-            mark_phase(router, 3);
-            let _span = telemetry::span(SpanId::Phase3);
-            let path_len = if scenario.operation() == BgpOperation::IncrementalNoChange {
-                LONGER_PATH_LEN
-            } else {
-                SHORTER_PATH_LEN
-            };
-            let spec = workload::AnnounceSpec {
-                speaker_asn: SPEAKER2_ASN,
-                path_len,
-                next_hop: SPEAKER2_HOP,
-                prefixes_per_update: pkt,
-                seed: config.seed + 1,
-            };
-            router.load_script(
-                SPEAKER_2,
-                SpeakerScript::new(source.announcements(&table, &spec)),
-            );
-            (n, router.run_until_transactions(2 * n, PHASE_LIMIT_SECS))
-        }
-        BgpOperation::ExportRewrite => {
-            {
-                mark_phase(router, 1);
-                let _span = telemetry::span(SpanId::Phase1);
-                router.load_script(
-                    SPEAKER_1,
-                    SpeakerScript::new(source.announcements(&table, &speaker1_base)),
-                );
-                router
-                    .run_until_transactions(n, PHASE_LIMIT_SECS)
-                    .expect("setup phase must complete");
-            }
-            // The timed phase is the re-advertisement itself: every
-            // route crosses the export route-map on its way to
-            // Speaker 2's Adj-RIB-Out.
-            mark_phase(router, 2);
-            let _span = telemetry::span(SpanId::Phase2);
-            router.queue_export(SPEAKER_2, pkt);
-            (n, router.run_until_exports(n, PHASE_LIMIT_SECS))
-        }
-        BgpOperation::MedOscillation => {
-            {
-                mark_phase(router, 1);
-                let _span = telemetry::span(SpanId::Phase1);
-                router.load_script(
-                    SPEAKER_1,
-                    SpeakerScript::new(source.announcements(&table, &speaker1_base)),
-                );
-                router
-                    .run_until_transactions(n, PHASE_LIMIT_SECS)
-                    .expect("setup phase must complete");
-            }
-            mark_phase(router, 3);
-            let _span = telemetry::span(SpanId::Phase3);
-            let spec = workload::AnnounceSpec {
-                speaker_asn: SPEAKER2_ASN,
-                path_len: BASE_PATH_LEN,
-                next_hop: SPEAKER2_HOP,
-                prefixes_per_update: pkt,
-                seed: config.seed + 1,
-            };
-            router.load_script(
-                SPEAKER_2,
-                SpeakerScript::new(workload::med_oscillation(
-                    &table,
-                    &spec,
-                    OSCILLATION_ROUNDS,
-                    OSCILLATION_HIGH_MED,
-                )),
-            );
-            let rounds = OSCILLATION_ROUNDS as u64;
-            (
-                rounds * n,
-                router.run_until_transactions((rounds + 1) * n, PHASE_LIMIT_SECS),
-            )
-        }
-        BgpOperation::UpdateTrainReplay => {
-            {
-                mark_phase(router, 1);
-                let _span = telemetry::span(SpanId::Phase1);
-                router.load_script(
-                    SPEAKER_1,
-                    SpeakerScript::new(source.announcements(&table, &speaker1_base)),
-                );
-                router
-                    .run_until_transactions(n, PHASE_LIMIT_SECS)
-                    .expect("setup phase must complete");
-            }
-            mark_phase(router, 3);
-            let _span = telemetry::span(SpanId::Phase3);
-            let spec = workload::AnnounceSpec {
-                prefixes_per_update: pkt,
-                ..speaker1_base
-            };
-            // The timed phase replays the source's update train — for
-            // the modern generator a bursty LRD-shaped mix of
-            // re-announcements and withdrawals; for MRT replay the
-            // dump's own BGP4MP messages.
-            let train = source.update_train(&table, &spec);
-            let train_tx = workload::transaction_count(&train) as u64;
-            assert!(
-                train_tx > 0,
-                "workload source {} produced an empty update train",
-                source.describe()
-            );
-            router.load_script(SPEAKER_1, SpeakerScript::new(train));
-            (
-                train_tx,
-                router.run_until_transactions(n + train_tx, PHASE_LIMIT_SECS),
-            )
-        }
-        // Intercepted in `run_scenario_with_packetization` and routed
-        // through the topology engine.
-        BgpOperation::SessionChurn => unreachable!("churn runs through the topology engine"),
     };
+    let steps = plan::phase_plan(scenario, config.seed, pkt, SPEAKERS);
+    // Churn scenarios have no phases; `run_scenario_with_packetization`
+    // routes them through the topology engine.
+    let (timed, setup) = steps.split_last().expect("a phased scenario");
+    for step in setup {
+        run_step(step).1.expect("setup phase must complete");
+    }
+    let (transactions, elapsed) = run_step(timed);
     ScenarioResult {
         scenario,
         platform: platform.name,
@@ -633,19 +484,21 @@ fn drive(
 
 /// Marks a phase boundary on the router's recorder and in the
 /// telemetry journal (the journal entry carries the virtual tick at
-/// which the phase began).
-fn mark_phase(router: &mut SimRouter, phase: u64) {
-    router.mark(match phase {
-        1 => "phase 1",
-        2 => "phase 2",
-        _ => "phase 3",
-    });
+/// which the phase began), and opens the phase's span.
+fn begin_phase(router: &mut SimRouter, phase: u64) -> Option<telemetry::SpanGuard> {
+    let (label, span) = match phase {
+        1 => ("phase 1", SpanId::Phase1),
+        2 => ("phase 2", SpanId::Phase2),
+        _ => ("phase 3", SpanId::Phase3),
+    };
+    router.mark(label);
     telemetry::event(EventKind::PhaseStart, phase, router.ticks_elapsed());
     telemetry::trace_instant(
         bgpbench_telemetry::TraceEventId::PhaseMark,
         phase,
         router.ticks_elapsed(),
     );
+    telemetry::span(span)
 }
 
 #[cfg(test)]

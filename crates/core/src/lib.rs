@@ -60,6 +60,7 @@ pub mod extensions;
 pub mod faults;
 mod harness;
 pub mod live;
+mod plan;
 pub mod policy;
 pub mod report;
 pub mod runner;

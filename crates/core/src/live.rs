@@ -12,11 +12,13 @@ use std::net::Ipv4Addr;
 use std::time::{Duration, Instant};
 
 use bgpbench_daemon::BgpDaemon;
-use bgpbench_speaker::{workload, LiveSpeaker, LiveSpeakerConfig, WorkloadSpec};
+use bgpbench_models::SpeakerHandle;
+use bgpbench_speaker::{workload, LiveSpeaker, LiveSpeakerConfig};
 use bgpbench_wire::{Asn, RouterId};
 
 use crate::harness::ScenarioResult;
-use crate::scenario::{BgpOperation, Scenario, WorkloadKind};
+use crate::plan::{self, Action};
+use crate::scenario::{BgpOperation, Scenario};
 
 /// Parameters of a live scenario run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,12 +41,33 @@ impl Default for LiveConfig {
     }
 }
 
-fn speaker_config(asn: u16, id: u32) -> LiveSpeakerConfig {
-    LiveSpeakerConfig {
-        local_asn: Asn(asn),
-        router_id: RouterId(id),
-        hold_time_secs: 90,
+/// The AS and next hop Speaker 1 and Speaker 2 announce with.
+const SPEAKERS: [(Asn, Ipv4Addr); 2] = [
+    (Asn(65001), Ipv4Addr::new(127, 0, 0, 1)),
+    (Asn(65002), Ipv4Addr::new(127, 0, 0, 2)),
+];
+
+/// The live session of a plan's speaker, opened on first use.
+fn session<'a>(
+    sessions: &'a mut [Option<LiveSpeaker>; 2],
+    speaker: SpeakerHandle,
+    daemon: &BgpDaemon,
+) -> io::Result<&'a mut LiveSpeaker> {
+    let slot = &mut sessions[speaker.0];
+    if slot.is_none() {
+        let config = LiveSpeakerConfig {
+            local_asn: SPEAKERS[speaker.0].0,
+            router_id: RouterId(0x0A00_0002 + speaker.0 as u32),
+            hold_time_secs: 90,
+        };
+        let handshake = Duration::from_secs(10);
+        *slot = Some(LiveSpeaker::connect(
+            daemon.local_addr(),
+            &config,
+            handshake,
+        )?);
     }
+    Ok(slot.as_mut().expect("connected above"))
 }
 
 /// Waits until the daemon has processed `target` transactions,
@@ -82,137 +105,83 @@ pub fn run_live_scenario(
     run_phases(daemon, scenario, config).map(|(result, _speakers)| result)
 }
 
-/// [`run_live_scenario`], also returning the speakers with their
-/// sessions still up: until they are dropped, the daemon's counters
-/// show the measured phases alone, with no teardown fallout (a dropped
-/// Speaker 2 hands its prefixes back to Speaker 1's routes).
+/// The live executor of a scenario's [`plan::phase_plan`]: each step
+/// floods a speaker's stream over TCP (or connects the receiving
+/// speaker and collects the table) and polls the daemon until the
+/// step's transactions are through.
+///
+/// Also returns the speakers with their sessions still up: until they
+/// are dropped, the daemon's counters show the measured phases alone,
+/// with no teardown fallout (a dropped Speaker 2 hands its prefixes
+/// back to Speaker 1's routes).
 fn run_phases(
     daemon: &BgpDaemon,
     scenario: Scenario,
     config: &LiveConfig,
-) -> io::Result<(ScenarioResult, (LiveSpeaker, Option<LiveSpeaker>))> {
-    let mut source = match scenario.workload() {
-        WorkloadKind::Classic => WorkloadSpec::Classic,
-        WorkloadKind::Modern => WorkloadSpec::Modern,
-    }
-    .source(config.seed)
-    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let table = source.table(config.prefixes);
-    let pkt = scenario.packet_size().prefixes_per_update();
-    let n = table.len() as u64;
-    let addr = daemon.local_addr();
-    let handshake = Duration::from_secs(10);
-
-    let mut speaker1 = LiveSpeaker::connect(addr, &speaker_config(65001, 0x0A00_0002), handshake)?;
-    let mut second = None;
-    let base_spec = workload::AnnounceSpec {
-        speaker_asn: Asn(65001),
-        path_len: 3,
-        next_hop: Ipv4Addr::new(127, 0, 0, 1),
-        prefixes_per_update: workload::LARGE_PACKET_PREFIXES,
-        seed: config.seed,
+) -> io::Result<(ScenarioResult, [Option<LiveSpeaker>; 2])> {
+    let unsupported = |needs: &str| {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            format!("{scenario} needs {needs}"),
+        ))
     };
-
-    let (transactions, elapsed) = match scenario.operation() {
-        BgpOperation::StartupAnnounce => {
-            let updates = source.announcements(
-                &table,
-                &workload::AnnounceSpec {
-                    prefixes_per_update: pkt,
-                    ..base_spec
-                },
-            );
-            let start = Instant::now();
-            speaker1.flood(&updates)?;
-            wait_transactions(daemon, n, config.phase_timeout)?;
-            (n, start.elapsed().as_secs_f64())
-        }
-        BgpOperation::EndingWithdraw => {
-            speaker1.flood(&source.announcements(&table, &base_spec))?;
-            wait_transactions(daemon, n, config.phase_timeout)?;
-            let updates = source.withdrawals(&table, pkt);
-            let start = Instant::now();
-            speaker1.flood(&updates)?;
-            wait_transactions(daemon, 2 * n, config.phase_timeout)?;
-            (n, start.elapsed().as_secs_f64())
-        }
-        BgpOperation::IncrementalNoChange | BgpOperation::IncrementalChange => {
-            // Phase 1: inject.
-            speaker1.flood(&source.announcements(&table, &base_spec))?;
-            wait_transactions(daemon, n, config.phase_timeout)?;
-            // Phase 2: speaker 2 connects and receives the table.
-            let speaker2 = second.insert(LiveSpeaker::connect(
-                addr,
-                &speaker_config(65002, 0x0A00_0003),
-                handshake,
-            )?);
-            speaker2.collect_routes_until(table.len(), 0, config.phase_timeout)?;
-            // Phase 3: speaker 2 announces the same prefixes with a
-            // longer (losing) or shorter (winning) path.
-            let path_len = if scenario.operation() == BgpOperation::IncrementalNoChange {
-                6
-            } else {
-                2
-            };
-            let updates = source.announcements(
-                &table,
-                &workload::AnnounceSpec {
-                    speaker_asn: Asn(65002),
-                    path_len,
-                    next_hop: Ipv4Addr::new(127, 0, 0, 2),
-                    prefixes_per_update: pkt,
-                    seed: config.seed + 1,
-                },
-            );
-            let start = Instant::now();
-            speaker2.flood(&updates)?;
-            wait_transactions(daemon, 2 * n, config.phase_timeout)?;
-            (n, start.elapsed().as_secs_f64())
-        }
-        BgpOperation::UpdateTrainReplay => {
-            // Phase 1: inject the full table.
-            speaker1.flood(&source.announcements(&table, &base_spec))?;
-            wait_transactions(daemon, n, config.phase_timeout)?;
-            // Phase 3: replay the source's update train.
-            let train = source.update_train(
-                &table,
-                &workload::AnnounceSpec {
-                    prefixes_per_update: pkt,
-                    ..base_spec
-                },
-            );
-            let train_tx = workload::transaction_count(&train) as u64;
-            let start = Instant::now();
-            speaker1.flood(&train)?;
-            wait_transactions(daemon, n + train_tx, config.phase_timeout)?;
-            (train_tx, start.elapsed().as_secs_f64())
-        }
+    match scenario.operation() {
         BgpOperation::SessionChurn => {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!("{scenario} needs the simulated topology engine, not a live daemon"),
-            ));
+            return unsupported("the simulated topology engine, not a live daemon")
         }
         BgpOperation::ExportRewrite | BgpOperation::MedOscillation => {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!("{scenario} needs route-map configuration, which the live daemon lacks"),
-            ));
+            return unsupported("route-map configuration, which the live daemon lacks")
         }
-    };
+        _ => {}
+    }
+    let mut source = scenario
+        .workload()
+        .spec()
+        .source(config.seed)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let table = source.table(config.prefixes);
+    let pkt = scenario.packet_size().prefixes_per_update();
 
+    let mut sessions = [None, None];
+    // The daemon's counter is cumulative, so each sending step waits
+    // for the running total of what has been sent so far.
+    let mut sent = 0;
+    let mut timed = (0, 0.0);
+    for step in plan::phase_plan(scenario, config.seed, pkt, SPEAKERS) {
+        let speaker = session(&mut sessions, step.speaker, daemon)?;
+        timed = match step.action {
+            Action::Send(traffic) => {
+                let updates = traffic.generate(&mut *source, &table);
+                let transactions = workload::transaction_count(&updates) as u64;
+                sent += transactions;
+                let start = Instant::now();
+                speaker.flood(&updates)?;
+                wait_transactions(daemon, sent, config.phase_timeout)?;
+                (transactions, start.elapsed().as_secs_f64())
+            }
+            // The daemon re-advertises to whoever connects; its own
+            // packetization is not configurable.
+            Action::Export { .. } => {
+                let start = Instant::now();
+                speaker.collect_routes_until(table.len(), 0, config.phase_timeout)?;
+                (table.len() as u64, start.elapsed().as_secs_f64())
+            }
+        };
+    }
+
+    let (transactions, elapsed_secs) = timed;
     let result = ScenarioResult {
         scenario,
         platform: "live daemon",
         transactions,
-        elapsed_secs: elapsed,
+        elapsed_secs,
         cross_traffic_mbps: 0.0,
         completed: true,
         // The live daemon runs on host time; there is no simulator
         // clock to count.
         virtual_ticks: 0,
     };
-    Ok((result, (speaker1, second)))
+    Ok((result, sessions))
 }
 
 #[cfg(test)]
@@ -267,5 +236,32 @@ mod tests {
         // replacements.
         assert_eq!(snapshot.rib.fib_installs, 1000);
         daemon.shutdown();
+    }
+
+    #[test]
+    fn simulated_and_live_runs_of_one_plan_agree() {
+        // Both executors run `plan::phase_plan`, so the same scenario
+        // must leave the simulated router and the live daemon with the
+        // same tables. The speakers stay up while the snapshot is read
+        // (see `run_phases`).
+        let config = LiveConfig {
+            prefixes: 300,
+            ..quick_config()
+        };
+        for scenario in [Scenario::S2, Scenario::S4, Scenario::S6, Scenario::S8] {
+            let cell = crate::CellSpec::new(scenario, bgpbench_models::xeon())
+                .prefixes(config.prefixes)
+                .seed(config.seed);
+            let (simulated, router) = cell.run_with_router();
+            assert!(simulated.completed, "{scenario}");
+
+            let daemon = BgpDaemon::start(DaemonConfig::default()).unwrap();
+            let (live, _sessions) = run_phases(&daemon, scenario, &config).unwrap();
+            let snapshot = daemon.snapshot();
+            assert_eq!(live.transactions, simulated.transactions, "{scenario}");
+            assert_eq!(snapshot.loc_rib_len, router.loc_rib_len(), "{scenario}");
+            assert_eq!(snapshot.fib_len, router.fib_len(), "{scenario}");
+            daemon.shutdown();
+        }
     }
 }

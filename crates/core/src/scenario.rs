@@ -9,6 +9,7 @@
 //! touching every `match` in the workspace.
 
 use crate::policy::PolicyProfile;
+use bgpbench_speaker::WorkloadSpec;
 use std::fmt;
 
 /// The BGP operation a scenario exercises.
@@ -57,6 +58,16 @@ pub enum WorkloadKind {
     /// The modern-Internet workload: ~1M-prefix tables, realistic
     /// AS-path lengths, long-range-dependent bursty trains.
     Modern,
+}
+
+impl WorkloadKind {
+    /// The concrete source this family runs when no override is given.
+    pub(crate) fn spec(self) -> WorkloadSpec {
+        match self {
+            WorkloadKind::Classic => WorkloadSpec::Classic,
+            WorkloadKind::Modern => WorkloadSpec::Modern,
+        }
+    }
 }
 
 /// The benchmark's two packetizations.

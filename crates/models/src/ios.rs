@@ -1,38 +1,20 @@
-//! The black-box commercial-router (IOS) model.
+//! The black-box commercial-router (IOS) cost model, over the shared
+//! [`ControlPlane`].
 
-use std::collections::{HashMap, VecDeque};
-use std::net::Ipv4Addr;
+use std::collections::HashMap;
 
-use bgpbench_fib::{Fib, NextHop};
-use bgpbench_rib::{
-    AdjRibOut, FibDirective, PeerId, PeerInfo, RouteChange, RouteMap, ShardedRibEngine,
-};
-use bgpbench_simnet::{Job, Model, ProcessBuilder, ProcessId, SchedClass, TickContext};
-use bgpbench_speaker::SpeakerScript;
-use bgpbench_telemetry::{self as telemetry, MetricId, SpanId};
-use bgpbench_wire::{Asn, RouterId, UpdateMessage};
+use bgpbench_rib::{FibDirective, PeerId, RouteChange};
+use bgpbench_simnet::{Job, ProcessBuilder, ProcessId, SchedClass, TickContext};
 
 use crate::costs::IosCosts;
-use crate::crosstraffic::{CrossTraffic, JOB_KFWD};
-use crate::faults::LinkFaults;
-use crate::CrossCosts;
+use crate::crosstraffic::JOB_KFWD;
+use crate::plane::ControlPlane;
 
 const JOB_MSG: u16 = 20;
 const JOB_EXPORT: u16 = 21;
 
 /// Messages buffered ahead of the serialized IOS BGP process.
 const INPUT_LIMIT: usize = 4;
-
-/// One attached test speaker and its link state.
-#[derive(Debug)]
-struct Speaker {
-    peer: PeerId,
-    script: Option<SpeakerScript>,
-    rate_msgs_per_sec: Option<f64>,
-    carry: f64,
-    /// Session/link fault state (the topology engine's injection point).
-    faults: LinkFaults,
-}
 
 /// The Cisco 3620 model (paper §IV.A.4 treats it as a black box).
 ///
@@ -44,253 +26,53 @@ struct Speaker {
 /// limit) while leaving the fixed delay — and therefore small-packet
 /// rates — untouched. Both Fig. 5 Cisco signatures fall out of this
 /// one mechanism.
+///
+/// With one job per UPDATE there is no stage to price separately, so
+/// the plane's engine sees a message on arrival: its per-prefix
+/// outcomes are what the single job costs.
 #[derive(Debug)]
-pub struct IosModel {
+pub(crate) struct IosPipeline {
     costs: IosCosts,
     ios: ProcessId,
     kernel: ProcessId,
     irq: ProcessId,
-    engine: ShardedRibEngine,
-    fib: Fib,
-    speakers: Vec<Speaker>,
+    /// UPDATEs inside the BGP process, by job tag: transaction count,
+    /// sender, and the FIB writes owed on completion.
     pending: HashMap<u64, (u32, PeerId, Vec<FibDirective>)>,
     next_tag: u64,
-    export_queue: VecDeque<UpdateMessage>,
-    cross: CrossTraffic,
-    tick_secs: f64,
-    transactions_done: u64,
-    exported_transactions: u64,
-    local_address: Ipv4Addr,
 }
 
-impl IosModel {
-    /// The default local AS of a simulated router under test.
-    pub const LOCAL_ASN: Asn = Asn(65000);
-
-    /// Builds the model, registering its processes and peers.
-    pub fn new(
-        costs: IosCosts,
-        cross_costs: CrossCosts,
-        tick_secs: f64,
-        builder: &mut ProcessBuilder,
-        speakers: &[PeerInfo],
-    ) -> Self {
-        Self::with_local_asn(
+impl IosPipeline {
+    /// Registers the model's three processes with `builder`.
+    pub(crate) fn new(costs: IosCosts, builder: &mut ProcessBuilder) -> Self {
+        IosPipeline {
             costs,
-            cross_costs,
-            tick_secs,
-            builder,
-            speakers,
-            Self::LOCAL_ASN,
-        )
-    }
-
-    /// [`IosModel::new`] with an explicit local AS (for chained
-    /// multi-router simulations).
-    pub fn with_local_asn(
-        costs: IosCosts,
-        cross_costs: CrossCosts,
-        tick_secs: f64,
-        builder: &mut ProcessBuilder,
-        speakers: &[PeerInfo],
-        local_asn: Asn,
-    ) -> Self {
-        let ios = builder.add_process("ios_bgp", SchedClass::User);
-        let kernel = builder.add_process("ios_fwd", SchedClass::Kernel);
-        let irq = builder.add_process("interrupts", SchedClass::Interrupt);
-        let local_address = Ipv4Addr::new(10, 0, 0, 1);
-        let mut engine = ShardedRibEngine::new(local_asn, RouterId(u32::from(local_address)));
-        let speakers = speakers
-            .iter()
-            .map(|info| Speaker {
-                peer: engine.add_peer(*info),
-                script: None,
-                rate_msgs_per_sec: None,
-                carry: 0.0,
-                faults: LinkFaults::default(),
-            })
-            .collect();
-        IosModel {
-            costs,
-            ios,
-            kernel,
-            irq,
-            engine,
-            fib: Fib::new(),
-            speakers,
+            ios: builder.add_process("ios_bgp", SchedClass::User),
+            kernel: builder.add_process("ios_fwd", SchedClass::Kernel),
+            irq: builder.add_process("interrupts", SchedClass::Interrupt),
             pending: HashMap::new(),
             next_tag: 0,
-            export_queue: VecDeque::new(),
-            cross: CrossTraffic::new(cross_costs),
-            tick_secs,
-            transactions_done: 0,
-            exported_transactions: 0,
-            local_address,
         }
     }
 
-    /// Assigns the message stream a speaker will send.
-    pub fn load_script(&mut self, speaker: usize, script: SpeakerScript) {
-        self.speakers[speaker].script = Some(script);
-        self.speakers[speaker].rate_msgs_per_sec = None;
-        self.speakers[speaker].carry = 0.0;
-    }
-
-    /// Like [`IosModel::load_script`], but paced to `msgs_per_sec`.
-    pub fn load_script_rated(&mut self, speaker: usize, script: SpeakerScript, msgs_per_sec: f64) {
-        assert!(msgs_per_sec > 0.0, "rate must be positive");
-        self.speakers[speaker].script = Some(script);
-        self.speakers[speaker].rate_msgs_per_sec = Some(msgs_per_sec);
-        self.speakers[speaker].carry = 0.0;
-    }
-
-    /// Queues a Phase-2 export toward `speaker`; returns the number of
-    /// UPDATE messages queued.
-    pub fn queue_export(&mut self, speaker: usize, prefixes_per_update: usize) -> usize {
-        let peer = self.speakers[speaker].peer;
-        let routes = self.engine.export_routes(peer, self.local_address);
-        let mut adj_out = AdjRibOut::new();
-        let actions = adj_out.sync(routes);
-        let updates = AdjRibOut::to_updates(&actions, prefixes_per_update);
-        let n = updates.len();
-        self.export_queue.extend(updates);
-        n
-    }
-
-    /// Prefix-level transactions fully processed.
-    pub fn transactions_done(&self) -> u64 {
-        self.transactions_done
-    }
-
-    /// Prefix-level transactions advertised in Phase-2 exports.
-    pub fn exported_transactions(&self) -> u64 {
-        self.exported_transactions
-    }
-
-    /// Whether all loaded work has drained.
-    pub fn is_quiescent(&self) -> bool {
+    /// Whether no UPDATE is inside the BGP process.
+    pub(crate) fn is_idle(&self) -> bool {
         self.pending.is_empty()
-            && self.export_queue.is_empty()
-            && self
-                .speakers
-                .iter()
-                .all(|s| s.script.as_ref().is_none_or(SpeakerScript::is_exhausted))
     }
 
-    /// Gates speaker input on session state: while `false` the speaker
-    /// link is down and its script is untouched.
-    pub fn set_speaker_enabled(&mut self, speaker: usize, enabled: bool) {
-        self.speakers[speaker].faults.enabled = enabled;
-    }
-
-    /// Arms the link to drop the speaker's next `n` messages (taken
-    /// off the script, never processed).
-    pub fn drop_next(&mut self, speaker: usize, n: u32) {
-        self.speakers[speaker].faults.drop_next = n;
-    }
-
-    /// Holds the speaker's input back until simulated time `until_s`.
-    pub fn delay_input_until(&mut self, speaker: usize, until_s: f64) {
-        self.speakers[speaker].faults.delay_until_s = until_s;
-    }
-
-    /// Arms the link to swap the speaker's next `n` message pairs.
-    pub fn reorder_next(&mut self, speaker: usize, n: u32) {
-        self.speakers[speaker].faults.reorder_next = n;
-    }
-
-    /// Rewinds the speaker's script for a full re-advertisement (peer
-    /// restart).
-    pub fn reset_script(&mut self, speaker: usize) {
-        if let Some(script) = self.speakers[speaker].script.as_mut() {
-            script.reset();
-        }
-    }
-
-    /// Prefix-level transactions the speaker's script has handed out
-    /// since its last load or reset.
-    pub fn speaker_transactions_taken(&self, speaker: usize) -> u64 {
-        self.speakers[speaker]
-            .script
-            .as_ref()
-            .map_or(0, |s| s.transactions_taken() as u64)
-    }
-
-    /// Session-down purge: withdraws everything learned from the
-    /// speaker's peer and applies the FIB fallout immediately; stale
-    /// directives from the peer's in-flight messages are cancelled.
-    /// Returns the number of affected prefixes.
-    pub fn purge_speaker(&mut self, speaker: usize) -> usize {
-        let peer = self.speakers[speaker].peer;
+    /// Session down: the stale FIB directives of `peer`'s in-flight
+    /// messages are cancelled (their jobs still run out).
+    pub(crate) fn cancel_in_flight(&mut self, peer: PeerId) {
         for (_, from, directives) in self.pending.values_mut() {
             if *from == peer {
                 directives.clear();
             }
         }
-        let Ok(outcomes) = self.engine.purge_peer(peer) else {
-            return 0;
-        };
-        let _span = (!outcomes.is_empty())
-            .then(|| telemetry::span(SpanId::FibApply))
-            .flatten();
-        for outcome in &outcomes {
-            match outcome.fib {
-                Some(FibDirective::Install { prefix, next_hop }) => {
-                    telemetry::incr(MetricId::FibInstalls);
-                    self.fib.insert(prefix, NextHop::new(next_hop, 0));
-                }
-                Some(FibDirective::Remove { prefix }) => {
-                    telemetry::incr(MetricId::FibRemoves);
-                    self.fib.remove(&prefix);
-                }
-                None => {}
-            }
-        }
-        outcomes.len()
     }
 
-    /// Sets the cross-traffic offered load.
-    pub fn set_cross_rate_mbps(&mut self, mbps: f64) {
-        self.cross.set_rate_mbps(mbps);
-    }
-
-    /// Cross-traffic accounting so far.
-    pub fn cross_summary(&self) -> crate::CrossSummary {
-        self.cross.summary()
-    }
-
-    /// The routing engine.
-    pub fn engine(&self) -> &ShardedRibEngine {
-        &self.engine
-    }
-
-    /// Repartitions the (still-empty) RIB into `shards` shards — a
-    /// configuration-time knob; see
-    /// [`crate::XorpModel::set_rib_shards`]. Black-box costs depend
-    /// only on the per-prefix outcomes, which are bit-identical across
-    /// shard counts.
-    pub fn set_rib_shards(&mut self, shards: usize) {
-        self.engine.set_shards(shards);
-    }
-
-    /// The forwarding table.
-    pub fn fib(&self) -> &Fib {
-        &self.fib
-    }
-
-    /// Installs the import route-map. The IOS model is black-box — its
-    /// per-update costs come from measured totals, so a policy changes
-    /// *which* outcome each route takes (a rejection prices as
-    /// `nochange`) rather than scaling a separate policy process.
-    pub fn set_import_policy(&mut self, policy: RouteMap) {
-        self.engine.set_import_policy(policy);
-    }
-
-    /// Installs the export route-map.
-    pub fn set_export_policy(&mut self, policy: RouteMap) {
-        self.engine.set_export_policy(policy);
-    }
-
+    /// A policy changes *which* outcome each route takes (a rejection
+    /// prices as `nochange`) rather than scaling a separate policy
+    /// process: the per-update costs come from measured totals.
     fn cost_of(&self, change: RouteChange, is_withdrawal: bool) -> f64 {
         match change {
             RouteChange::Installed => self.costs.ann_fib,
@@ -303,136 +85,56 @@ impl IosModel {
             | RouteChange::Dampened => self.costs.nochange,
         }
     }
-}
 
-impl Model for IosModel {
-    fn on_tick(&mut self, ctx: &mut TickContext<'_>) {
-        let kernel_backlog = ctx.queue_len(self.kernel);
-        self.cross
-            .on_tick(ctx, self.tick_secs, self.irq, self.kernel, kernel_backlog);
+    pub(crate) fn on_tick(&mut self, plane: &mut ControlPlane, ctx: &mut TickContext<'_>) {
+        plane.cross_tick(ctx, self.irq, self.kernel);
 
-        let now = ctx.now().as_secs_f64();
         let mut room = INPUT_LIMIT.saturating_sub(ctx.queue_len(self.ios));
-        for idx in 0..self.speakers.len() {
-            // Down or delayed links accept no input and accrue no send
-            // allowance — the speaker backs off with the session.
-            if !self.speakers[idx].faults.enabled || now < self.speakers[idx].faults.delay_until_s {
-                continue;
-            }
-            let mut allowance = match self.speakers[idx].rate_msgs_per_sec {
-                Some(rate) => {
-                    self.speakers[idx].carry += rate * self.tick_secs;
-                    let whole = self.speakers[idx].carry.floor();
-                    self.speakers[idx].carry -= whole;
-                    whole as usize
-                }
-                None => usize::MAX,
-            };
-            while room > 0 && allowance > 0 {
-                // Lossy link: messages arrive but are dropped before
-                // the BGP process sees them — they consume the script
-                // and the sender's allowance without being applied.
-                if self.speakers[idx].faults.drop_next > 0 {
-                    allowance -= 1;
-                    let Some(script) = self.speakers[idx].script.as_mut() else {
-                        break;
-                    };
-                    if script.take(1).is_empty() {
-                        break;
-                    }
-                    self.speakers[idx].faults.drop_next -= 1;
-                    continue;
-                }
-                // Reordering link: take the next pair and apply it in
-                // reversed arrival order (needs room for both).
-                let swap =
-                    self.speakers[idx].faults.reorder_next > 0 && room >= 2 && allowance >= 2;
-                let Some(script) = self.speakers[idx].script.as_mut() else {
-                    break;
-                };
-                let mut batch = script.take(if swap { 2 } else { 1 }).to_vec();
-                if batch.is_empty() {
-                    break;
-                }
-                if swap && batch.len() == 2 {
-                    self.speakers[idx].faults.reorder_next -= 1;
-                    batch.reverse();
-                }
-                for update in batch {
-                    allowance = allowance.saturating_sub(1);
-                    room -= 1;
-                    let peer = self.speakers[idx].peer;
-                    let n_wd = update.withdrawn().len();
-                    let outcomes = self
-                        .engine
-                        .apply_update(peer, &update)
-                        .expect("benchmark updates are well-formed");
-                    let mut cycles = 0.0;
-                    let mut directives = Vec::new();
-                    for (i, outcome) in outcomes.iter().enumerate() {
-                        cycles += self.cost_of(outcome.change, i < n_wd);
-                        if let Some(directive) = outcome.fib {
-                            directives.push(directive);
-                        }
-                    }
-                    let tag = self.next_tag;
-                    self.next_tag += 1;
-                    let count = outcomes.len() as u32;
-                    self.pending.insert(tag, (count, peer, directives));
-                    ctx.push(
-                        self.ios,
-                        Job::new(JOB_MSG, cycles)
-                            .with_tag(tag)
-                            .with_count(count)
-                            .with_delay_ns(self.costs.pkt_delay_ns),
-                    );
+        plane.take_input(&mut room, |engine, peer, update| {
+            let n_wd = update.withdrawn().len();
+            let outcomes = engine
+                .apply_update(peer, &update)
+                .expect("benchmark updates are well-formed");
+            let mut cycles = 0.0;
+            let mut directives = Vec::new();
+            for (i, outcome) in outcomes.iter().enumerate() {
+                cycles += self.cost_of(outcome.change, i < n_wd);
+                if let Some(directive) = outcome.fib {
+                    directives.push(directive);
                 }
             }
-        }
+            let tag = self.next_tag;
+            self.next_tag += 1;
+            let count = outcomes.len() as u32;
+            self.pending.insert(tag, (count, peer, directives));
+            ctx.push(
+                self.ios,
+                Job::new(JOB_MSG, cycles)
+                    .with_tag(tag)
+                    .with_count(count)
+                    .with_delay_ns(self.costs.pkt_delay_ns),
+            );
+        });
 
-        while room > 0 {
-            let Some(update) = self.export_queue.pop_front() else {
-                break;
-            };
-            let n = update.transaction_count() as u32;
+        plane.take_exports(room, |n| {
             ctx.push(
                 self.ios,
                 Job::new(JOB_EXPORT, f64::from(n) * self.costs.nochange).with_count(n),
             );
-            room -= 1;
-        }
+        });
     }
 
-    fn on_job_complete(&mut self, _pid: ProcessId, job: Job, _ctx: &mut TickContext<'_>) {
+    pub(crate) fn on_job_complete(&mut self, plane: &mut ControlPlane, job: Job) {
         match job.kind {
             JOB_MSG => {
                 let (count, _peer, directives) = self
                     .pending
                     .remove(&job.tag)
                     .expect("completion without pending entry");
-                let _span = (!directives.is_empty())
-                    .then(|| telemetry::span(SpanId::FibApply))
-                    .flatten();
-                for directive in directives {
-                    match directive {
-                        FibDirective::Install { prefix, next_hop } => {
-                            telemetry::incr(MetricId::FibInstalls);
-                            self.fib.insert(prefix, NextHop::new(next_hop, 0));
-                        }
-                        FibDirective::Remove { prefix } => {
-                            telemetry::incr(MetricId::FibRemoves);
-                            self.fib.remove(&prefix);
-                        }
-                    }
-                }
-                self.transactions_done += u64::from(count);
+                plane.complete(count, directives);
             }
-            JOB_EXPORT => {
-                self.exported_transactions += u64::from(job.count);
-            }
-            JOB_KFWD => {
-                self.cross.on_forwarded(job.count);
-            }
+            JOB_EXPORT => plane.on_exported(job.count),
+            JOB_KFWD => plane.cross.on_forwarded(job.count),
             _ => {}
         }
     }
@@ -440,39 +142,37 @@ impl Model for IosModel {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use bgpbench_simnet::{SimConfig, SimDuration, Simulator};
-    use bgpbench_speaker::{workload, TableGenerator};
+    use std::net::Ipv4Addr;
 
-    fn cisco_sim() -> Simulator<IosModel> {
-        let spec = crate::cisco3620();
-        let config = SimConfig::new(vec![spec.core; spec.cores]);
-        let tick = config.tick.as_secs_f64();
-        Simulator::new(config, |builder| {
-            let crate::PlatformKind::Ios(costs) = spec.kind else {
-                unreachable!()
-            };
-            IosModel::new(
-                costs,
-                spec.cross,
-                tick,
-                builder,
-                &[
-                    PeerInfo::new(
-                        PeerId(1),
-                        Asn(65001),
-                        RouterId(0x0A00_0002),
-                        Ipv4Addr::new(10, 0, 0, 2),
-                    ),
-                    PeerInfo::new(
-                        PeerId(2),
-                        Asn(65002),
-                        RouterId(0x0A00_0003),
-                        Ipv4Addr::new(10, 0, 0, 3),
-                    ),
-                ],
-            )
-        })
+    use bgpbench_rib::{PeerId, PeerInfo};
+    use bgpbench_simnet::{SimDuration, Simulator};
+    use bgpbench_speaker::{workload, SpeakerScript, TableGenerator};
+    use bgpbench_wire::{Asn, RouterId, UpdateMessage};
+
+    use crate::plane::LOCAL_ASN;
+    use crate::router::RouterModel;
+
+    fn cisco_sim() -> Simulator<RouterModel> {
+        let speakers = [
+            PeerInfo::new(
+                PeerId(1),
+                Asn(65001),
+                RouterId(0x0A00_0002),
+                Ipv4Addr::new(10, 0, 0, 2),
+            ),
+            PeerInfo::new(
+                PeerId(2),
+                Asn(65002),
+                RouterId(0x0A00_0003),
+                Ipv4Addr::new(10, 0, 0, 3),
+            ),
+        ];
+        RouterModel::simulator(&crate::cisco3620(), &speakers, LOCAL_ASN)
+    }
+
+    fn load(sim: &mut Simulator<RouterModel>, updates: Vec<UpdateMessage>) {
+        let script = SpeakerScript::new(updates);
+        sim.model_mut().plane.load_script(0, script, None);
     }
 
     fn spec_for(pkt: usize) -> workload::AnnounceSpec {
@@ -491,10 +191,7 @@ mod tests {
         // small packets regardless of scenario.
         let mut sim = cisco_sim();
         let table = TableGenerator::new(1).generate(30);
-        sim.model_mut().load_script(
-            0,
-            SpeakerScript::new(workload::announcements(&table, &spec_for(1))),
-        );
+        load(&mut sim, workload::announcements(&table, &spec_for(1)));
         let outcome = sim.run(SimDuration::from_secs(60));
         let tps = 30.0 / outcome.elapsed.as_secs_f64();
         assert!((8.0..13.0).contains(&tps), "small-packet rate {tps}");
@@ -504,17 +201,14 @@ mod tests {
     fn large_packets_amortize_the_scheduling_delay() {
         let mut sim = cisco_sim();
         let table = TableGenerator::new(1).generate(2000);
-        sim.model_mut().load_script(
-            0,
-            SpeakerScript::new(workload::announcements(&table, &spec_for(500))),
-        );
+        load(&mut sim, workload::announcements(&table, &spec_for(500)));
         let outcome = sim.run(SimDuration::from_secs(60));
         let tps = 2000.0 / outcome.elapsed.as_secs_f64();
         assert!(
             (1800.0..3200.0).contains(&tps),
             "large-packet rate {tps} outside the calibrated band"
         );
-        assert_eq!(sim.model().fib().len(), 2000);
+        assert_eq!(sim.model().plane.fib().len(), 2000);
     }
 
     #[test]
@@ -522,14 +216,11 @@ mod tests {
         let table = TableGenerator::new(1).generate(500);
         let rate = |pkt: usize, mbps: f64| {
             let mut sim = cisco_sim();
-            sim.model_mut().set_cross_rate_mbps(mbps);
-            sim.model_mut().load_script(
-                0,
-                SpeakerScript::new(workload::announcements(&table, &spec_for(pkt))),
-            );
-            let done = |m: &IosModel| m.transactions_done() >= 100;
+            sim.model_mut().plane.cross.set_rate_mbps(mbps);
+            load(&mut sim, workload::announcements(&table, &spec_for(pkt)));
+            let done = |m: &RouterModel| m.plane.transactions_done() >= 100;
             let outcome = sim.run_until(SimDuration::from_secs(200), done);
-            sim.model().transactions_done() as f64 / outcome.elapsed.as_secs_f64()
+            sim.model().plane.transactions_done() as f64 / outcome.elapsed.as_secs_f64()
         };
         let large_idle = rate(500, 0.0);
         let large_loaded = rate(500, 75.0);

@@ -1,15 +1,19 @@
-//! A uniform front over the two platform models.
+//! The simulated router under test: the shared control plane, one
+//! platform's cost model, and the benchmark-facing front over both.
 
 use std::net::Ipv4Addr;
 
 use bgpbench_rib::{PeerId, PeerInfo, RouteMap};
-use bgpbench_simnet::{Recorder, RunOutcome, SimConfig, SimDuration, Simulator};
+use bgpbench_simnet::{
+    Job, Model, ProcessId, Recorder, RunOutcome, SimConfig, SimDuration, Simulator, TickContext,
+};
 use bgpbench_speaker::SpeakerScript;
-use bgpbench_wire::{Asn, RouterId};
+use bgpbench_wire::{Asn, RouterId, UpdateMessage};
 
-use crate::ios::IosModel;
+use crate::ios::IosPipeline;
+use crate::plane::{ControlPlane, LOCAL_ASN};
 use crate::platform::{PlatformKind, PlatformSpec};
-use crate::xorp::XorpModel;
+use crate::xorp::XorpPipeline;
 use crate::CrossSummary;
 
 /// Index of a speaker attached to a [`SimRouter`] (0 = Speaker 1,
@@ -22,10 +26,79 @@ pub const SPEAKER_1: SpeakerHandle = SpeakerHandle(0);
 /// Speaker 2 of the benchmark setup.
 pub const SPEAKER_2: SpeakerHandle = SpeakerHandle(1);
 
+/// A platform's cost model. The platforms differ only in what an
+/// operation costs, so this is matched where cost is incurred (a tick,
+/// a finished job) or in-flight work is asked after — nowhere else.
 #[derive(Debug)]
-enum Inner {
-    Xorp(Simulator<XorpModel>),
-    Ios(Simulator<IosModel>),
+enum Pipeline {
+    Xorp(XorpPipeline),
+    Ios(IosPipeline),
+}
+
+/// What the simulator runs: one control plane, one cost model.
+#[derive(Debug)]
+pub(crate) struct RouterModel {
+    pub(crate) plane: ControlPlane,
+    pipeline: Pipeline,
+}
+
+impl RouterModel {
+    /// A simulator running `spec`'s model with `peers` attached.
+    pub(crate) fn simulator(
+        spec: &PlatformSpec,
+        peers: &[PeerInfo],
+        local_asn: Asn,
+    ) -> Simulator<RouterModel> {
+        let config = SimConfig::new(vec![spec.core; spec.cores]);
+        let tick_secs = config.tick.as_secs_f64();
+        Simulator::new(config, |builder| RouterModel {
+            pipeline: match spec.kind {
+                PlatformKind::Xorp(costs) => {
+                    Pipeline::Xorp(XorpPipeline::new(costs, spec.core.hz, builder))
+                }
+                PlatformKind::Ios(costs) => Pipeline::Ios(IosPipeline::new(costs, builder)),
+            },
+            plane: ControlPlane::new(spec.cross, tick_secs, peers, local_asn),
+        })
+    }
+
+    /// Whether all loaded scripts, exports, and in-flight work have
+    /// drained.
+    pub(crate) fn is_quiescent(&self) -> bool {
+        self.plane.is_drained()
+            && match &self.pipeline {
+                Pipeline::Xorp(xorp) => xorp.is_idle(),
+                Pipeline::Ios(ios) => ios.is_idle(),
+            }
+    }
+
+    /// Session-down purge of everything learned from the speaker's
+    /// peer, in-flight messages included; returns the number of
+    /// affected prefixes.
+    fn purge_speaker(&mut self, speaker: usize) -> usize {
+        let peer = self.plane.link(speaker).peer;
+        match &mut self.pipeline {
+            Pipeline::Xorp(xorp) => xorp.cancel_in_flight(peer),
+            Pipeline::Ios(ios) => ios.cancel_in_flight(peer),
+        }
+        self.plane.purge_peer(peer)
+    }
+}
+
+impl Model for RouterModel {
+    fn on_tick(&mut self, ctx: &mut TickContext<'_>) {
+        match &mut self.pipeline {
+            Pipeline::Xorp(xorp) => xorp.on_tick(&mut self.plane, ctx),
+            Pipeline::Ios(ios) => ios.on_tick(&mut self.plane, ctx),
+        }
+    }
+
+    fn on_job_complete(&mut self, _pid: ProcessId, job: Job, ctx: &mut TickContext<'_>) {
+        match &mut self.pipeline {
+            Pipeline::Xorp(xorp) => xorp.on_job_complete(&mut self.plane, job, ctx),
+            Pipeline::Ios(ios) => ios.on_job_complete(&mut self.plane, job),
+        }
+    }
 }
 
 /// A simulated router under test: one of the four platforms wired to
@@ -54,7 +127,7 @@ enum Inner {
 #[derive(Debug)]
 pub struct SimRouter {
     spec: PlatformSpec,
-    inner: Inner,
+    sim: Simulator<RouterModel>,
 }
 
 impl SimRouter {
@@ -62,7 +135,7 @@ impl SimRouter {
     /// speakers attached (AS 65001 at 10.0.0.2 and AS 65002 at
     /// 10.0.0.3).
     pub fn new(spec: &PlatformSpec) -> Self {
-        Self::with_local_asn(spec, Asn(65000))
+        Self::with_local_asn(spec, LOCAL_ASN)
     }
 
     /// [`SimRouter::new`] with an explicit local AS — needed when
@@ -88,33 +161,20 @@ impl SimRouter {
 
     /// Builds a router with an arbitrary set of attached speakers —
     /// the constructor behind multi-peer topologies. Speaker index `i`
-    /// (as a [`SpeakerHandle`]) maps to `peers[i]`; peer IDs should be
-    /// `PeerId(i + 1)` for [`SimRouter::export_messages`] to resolve
-    /// handles.
+    /// (as a [`SpeakerHandle`]) maps to `peers[i]`.
     pub fn with_peers(spec: &PlatformSpec, peers: &[PeerInfo], local_asn: Asn) -> Self {
-        let config = SimConfig::new(vec![spec.core; spec.cores]);
-        let tick_secs = config.tick.as_secs_f64();
-        let inner = match spec.kind {
-            PlatformKind::Xorp(costs) => {
-                let cross = spec.cross;
-                let hz = spec.core.hz;
-                Inner::Xorp(Simulator::new(config, |builder| {
-                    XorpModel::with_local_asn(
-                        costs, cross, hz, tick_secs, builder, peers, local_asn,
-                    )
-                }))
-            }
-            PlatformKind::Ios(costs) => {
-                let cross = spec.cross;
-                Inner::Ios(Simulator::new(config, |builder| {
-                    IosModel::with_local_asn(costs, cross, tick_secs, builder, peers, local_asn)
-                }))
-            }
-        };
         SimRouter {
             spec: spec.clone(),
-            inner,
+            sim: RouterModel::simulator(spec, peers, local_asn),
         }
+    }
+
+    fn plane(&self) -> &ControlPlane {
+        &self.sim.model().plane
+    }
+
+    fn plane_mut(&mut self) -> &mut ControlPlane {
+        &mut self.sim.model_mut().plane
     }
 
     /// Computes the UPDATE messages a Phase-2 export toward `speaker`
@@ -125,18 +185,8 @@ impl SimRouter {
         &self,
         speaker: SpeakerHandle,
         prefixes_per_update: usize,
-    ) -> Vec<bgpbench_wire::UpdateMessage> {
-        use bgpbench_rib::AdjRibOut;
-        let local_address = Ipv4Addr::new(10, 0, 0, 1);
-        let engine = match &self.inner {
-            Inner::Xorp(sim) => sim.model().engine(),
-            Inner::Ios(sim) => sim.model().engine(),
-        };
-        let peer = PeerId(speaker.0 as u32 + 1);
-        let routes = engine.export_routes(peer, local_address);
-        let mut adj_out = AdjRibOut::new();
-        let actions = adj_out.sync(routes);
-        AdjRibOut::to_updates(&actions, prefixes_per_update)
+    ) -> Vec<UpdateMessage> {
+        self.plane().export_updates(speaker.0, prefixes_per_update)
     }
 
     /// The platform this router models.
@@ -146,10 +196,7 @@ impl SimRouter {
 
     /// Assigns the stream a speaker sends next.
     pub fn load_script(&mut self, speaker: SpeakerHandle, script: SpeakerScript) {
-        match &mut self.inner {
-            Inner::Xorp(sim) => sim.model_mut().load_script(speaker.0, script),
-            Inner::Ios(sim) => sim.model_mut().load_script(speaker.0, script),
-        }
+        self.plane_mut().load_script(speaker.0, script, None);
     }
 
     /// Assigns a stream the speaker paces to `msgs_per_sec` instead of
@@ -165,14 +212,9 @@ impl SimRouter {
         script: SpeakerScript,
         msgs_per_sec: f64,
     ) {
-        match &mut self.inner {
-            Inner::Xorp(sim) => sim
-                .model_mut()
-                .load_script_rated(speaker.0, script, msgs_per_sec),
-            Inner::Ios(sim) => sim
-                .model_mut()
-                .load_script_rated(speaker.0, script, msgs_per_sec),
-        }
+        assert!(msgs_per_sec > 0.0, "rate must be positive");
+        self.plane_mut()
+            .load_script(speaker.0, script, Some(msgs_per_sec));
     }
 
     /// Mean CPU load (percent of one core) of a recorded process
@@ -188,35 +230,24 @@ impl SimRouter {
     /// Queues a Phase-2 full-table export toward a speaker; returns
     /// the number of UPDATE messages queued.
     pub fn queue_export(&mut self, speaker: SpeakerHandle, prefixes_per_update: usize) -> usize {
-        match &mut self.inner {
-            Inner::Xorp(sim) => sim.model_mut().queue_export(speaker.0, prefixes_per_update),
-            Inner::Ios(sim) => sim.model_mut().queue_export(speaker.0, prefixes_per_update),
-        }
+        self.plane_mut()
+            .queue_export(speaker.0, prefixes_per_update)
     }
 
     /// Sets the cross-traffic offered load in Mbps (clamped to the
     /// platform's forwarding limit).
     pub fn set_cross_traffic_mbps(&mut self, mbps: f64) {
-        match &mut self.inner {
-            Inner::Xorp(sim) => sim.model_mut().set_cross_rate_mbps(mbps),
-            Inner::Ios(sim) => sim.model_mut().set_cross_rate_mbps(mbps),
-        }
+        self.plane_mut().cross.set_rate_mbps(mbps);
     }
 
     /// Prefix-level transactions fully processed so far.
     pub fn transactions_done(&self) -> u64 {
-        match &self.inner {
-            Inner::Xorp(sim) => sim.model().transactions_done(),
-            Inner::Ios(sim) => sim.model().transactions_done(),
-        }
+        self.plane().transactions_done()
     }
 
     /// Phase-2 transactions advertised so far.
     pub fn exported_transactions(&self) -> u64 {
-        match &self.inner {
-            Inner::Xorp(sim) => sim.model().exported_transactions(),
-            Inner::Ios(sim) => sim.model().exported_transactions(),
-        }
+        self.plane().exported_transactions()
     }
 
     /// Runs until `target` total transactions have been processed.
@@ -224,206 +255,142 @@ impl SimRouter {
     /// `limit_secs` elapsed first.
     pub fn run_until_transactions(&mut self, target: u64, limit_secs: f64) -> Option<f64> {
         let limit = SimDuration::from_secs_f64(limit_secs);
-        let outcome = match &mut self.inner {
-            Inner::Xorp(sim) => sim.run_until(limit, |m| m.transactions_done() >= target),
-            Inner::Ios(sim) => sim.run_until(limit, |m| m.transactions_done() >= target),
-        };
+        let outcome = self
+            .sim
+            .run_until(limit, |m| m.plane.transactions_done() >= target);
         finished(outcome, target, self.transactions_done())
     }
 
     /// Runs until `target` total exported transactions have been sent.
     pub fn run_until_exports(&mut self, target: u64, limit_secs: f64) -> Option<f64> {
         let limit = SimDuration::from_secs_f64(limit_secs);
-        let outcome = match &mut self.inner {
-            Inner::Xorp(sim) => sim.run_until(limit, |m| m.exported_transactions() >= target),
-            Inner::Ios(sim) => sim.run_until(limit, |m| m.exported_transactions() >= target),
-        };
+        let outcome = self
+            .sim
+            .run_until(limit, |m| m.plane.exported_transactions() >= target);
         finished(outcome, target, self.exported_transactions())
     }
 
     /// Runs for a fixed simulated duration regardless of progress.
     pub fn run_for(&mut self, secs: f64) {
-        let limit = SimDuration::from_secs_f64(secs);
-        match &mut self.inner {
-            Inner::Xorp(sim) => sim.run_for(limit),
-            Inner::Ios(sim) => sim.run_for(limit),
-        }
+        self.sim.run_for(SimDuration::from_secs_f64(secs));
     }
 
     /// Advances the simulation by exactly one tick — the granularity
     /// at which the topology engine interleaves FSM timers and fault
     /// injection with router work.
     pub fn step(&mut self) {
-        match &mut self.inner {
-            Inner::Xorp(sim) => sim.step(),
-            Inner::Ios(sim) => sim.step(),
-        }
+        self.sim.step();
     }
 
     /// Whether all loaded work (scripts, pipeline, exports) has
     /// drained.
     pub fn is_quiescent(&self) -> bool {
-        match &self.inner {
-            Inner::Xorp(sim) => sim.model().is_quiescent(),
-            Inner::Ios(sim) => sim.model().is_quiescent(),
-        }
+        self.sim.model().is_quiescent()
     }
 
     /// Gates a speaker's input on session state: while `false` the
     /// link is down and the script is untouched.
     pub fn set_speaker_enabled(&mut self, speaker: SpeakerHandle, enabled: bool) {
-        match &mut self.inner {
-            Inner::Xorp(sim) => sim.model_mut().set_speaker_enabled(speaker.0, enabled),
-            Inner::Ios(sim) => sim.model_mut().set_speaker_enabled(speaker.0, enabled),
-        }
+        self.plane_mut().link_mut(speaker.0).enabled = enabled;
     }
 
-    /// Arms the speaker's link to drop its next `n` messages.
+    /// Arms the speaker's link to drop its next `n` messages (taken
+    /// off the script, never processed).
     pub fn drop_next(&mut self, speaker: SpeakerHandle, n: u32) {
-        match &mut self.inner {
-            Inner::Xorp(sim) => sim.model_mut().drop_next(speaker.0, n),
-            Inner::Ios(sim) => sim.model_mut().drop_next(speaker.0, n),
-        }
-    }
-
-    /// Holds the speaker's input back until simulated time `until_s`.
-    pub fn delay_input_until(&mut self, speaker: SpeakerHandle, until_s: f64) {
-        match &mut self.inner {
-            Inner::Xorp(sim) => sim.model_mut().delay_input_until(speaker.0, until_s),
-            Inner::Ios(sim) => sim.model_mut().delay_input_until(speaker.0, until_s),
-        }
+        self.plane_mut().link_mut(speaker.0).drop_next = n;
     }
 
     /// Arms the speaker's link to swap its next `n` message pairs.
     pub fn reorder_next(&mut self, speaker: SpeakerHandle, n: u32) {
-        match &mut self.inner {
-            Inner::Xorp(sim) => sim.model_mut().reorder_next(speaker.0, n),
-            Inner::Ios(sim) => sim.model_mut().reorder_next(speaker.0, n),
-        }
+        self.plane_mut().link_mut(speaker.0).reorder_next = n;
     }
 
     /// Rewinds the speaker's script for a full re-advertisement (peer
-    /// restart semantics).
+    /// restart semantics). The caller accounts for transactions already
+    /// taken — [`SpeakerScript::reset`] zeroes the counter.
     pub fn reset_script(&mut self, speaker: SpeakerHandle) {
-        match &mut self.inner {
-            Inner::Xorp(sim) => sim.model_mut().reset_script(speaker.0),
-            Inner::Ios(sim) => sim.model_mut().reset_script(speaker.0),
+        if let Some(script) = &mut self.plane_mut().link_mut(speaker.0).script {
+            script.reset();
         }
     }
 
     /// Prefix-level transactions the speaker's script has handed out
     /// since its last load or [`SimRouter::reset_script`].
     pub fn speaker_transactions_taken(&self, speaker: SpeakerHandle) -> u64 {
-        match &self.inner {
-            Inner::Xorp(sim) => sim.model().speaker_transactions_taken(speaker.0),
-            Inner::Ios(sim) => sim.model().speaker_transactions_taken(speaker.0),
-        }
+        let script = self.plane().link(speaker.0).script.as_ref();
+        script.map_or(0, |s| s.transactions_taken() as u64)
     }
 
     /// Session-down purge of everything learned from the speaker's
     /// peer; returns the number of affected prefixes.
     pub fn purge_speaker(&mut self, speaker: SpeakerHandle) -> usize {
-        match &mut self.inner {
-            Inner::Xorp(sim) => sim.model_mut().purge_speaker(speaker.0),
-            Inner::Ios(sim) => sim.model_mut().purge_speaker(speaker.0),
-        }
+        self.sim.model_mut().purge_speaker(speaker.0)
     }
 
     /// Full simulator ticks elapsed so far — the virtual-time cost of
     /// the run, comparable across serial and parallel grid executions.
     pub fn ticks_elapsed(&self) -> u64 {
-        match &self.inner {
-            Inner::Xorp(sim) => sim.ticks_elapsed(),
-            Inner::Ios(sim) => sim.ticks_elapsed(),
-        }
+        self.sim.ticks_elapsed()
     }
 
     /// Current simulated time in seconds.
     pub fn now_secs(&self) -> f64 {
-        match &self.inner {
-            Inner::Xorp(sim) => sim.now().as_secs_f64(),
-            Inner::Ios(sim) => sim.now().as_secs_f64(),
-        }
+        self.sim.now().as_secs_f64()
     }
 
     /// Number of routes selected into the Loc-RIB.
     pub fn loc_rib_len(&self) -> usize {
-        match &self.inner {
-            Inner::Xorp(sim) => sim.model().engine().loc_rib().len(),
-            Inner::Ios(sim) => sim.model().engine().loc_rib().len(),
-        }
+        self.plane().engine.loc_rib().len()
     }
 
     /// Number of routes installed in the forwarding table.
     pub fn fib_len(&self) -> usize {
-        match &self.inner {
-            Inner::Xorp(sim) => sim.model().fib().len(),
-            Inner::Ios(sim) => sim.model().fib().len(),
-        }
+        self.plane().fib().len()
     }
 
     /// The gateway currently installed for `prefix`, if any — lets the
     /// harness assert which speaker won the decision process.
     pub fn fib_gateway(&self, prefix: &bgpbench_wire::Prefix) -> Option<Ipv4Addr> {
-        let hop = match &self.inner {
-            Inner::Xorp(sim) => sim.model().fib().get(prefix),
-            Inner::Ios(sim) => sim.model().fib().get(prefix),
-        };
-        hop.map(|hop| hop.gateway())
+        self.plane().fib().get(prefix).map(|hop| hop.gateway())
     }
 
     /// Repartitions the platform's (still-empty) RIB into `shards`
     /// shards. A configuration-time knob: call before any script runs.
-    /// Results are bit-identical across shard counts; only host-side
-    /// throughput changes.
+    /// Shard count never changes the *simulated* cost attribution: the
+    /// platforms model 2007-era single-threaded daemons, so cycle
+    /// charges depend only on the per-prefix outcomes, which are
+    /// bit-identical across shard counts; only host-side throughput
+    /// changes.
     pub fn set_rib_shards(&mut self, shards: usize) {
-        match &mut self.inner {
-            Inner::Xorp(sim) => sim.model_mut().set_rib_shards(shards),
-            Inner::Ios(sim) => sim.model_mut().set_rib_shards(shards),
-        }
+        self.plane_mut().engine.set_shards(shards);
     }
 
     /// Installs the import route-map (Adj-RIB-In → Loc-RIB) on the
     /// platform's routing engine.
     pub fn set_import_policy(&mut self, policy: RouteMap) {
-        match &mut self.inner {
-            Inner::Xorp(sim) => sim.model_mut().set_import_policy(policy),
-            Inner::Ios(sim) => sim.model_mut().set_import_policy(policy),
-        }
+        self.plane_mut().engine.set_import_policy(policy);
     }
 
     /// Installs the export route-map (Loc-RIB → Adj-RIB-Out) on the
     /// platform's routing engine.
     pub fn set_export_policy(&mut self, policy: RouteMap) {
-        match &mut self.inner {
-            Inner::Xorp(sim) => sim.model_mut().set_export_policy(policy),
-            Inner::Ios(sim) => sim.model_mut().set_export_policy(policy),
-        }
+        self.plane_mut().engine.set_export_policy(policy);
     }
 
     /// Cross-traffic accounting.
     pub fn cross_summary(&self) -> CrossSummary {
-        match &self.inner {
-            Inner::Xorp(sim) => sim.model().cross_summary(),
-            Inner::Ios(sim) => sim.model().cross_summary(),
-        }
+        self.plane().cross.summary()
     }
 
     /// The recorder with CPU-load and forwarding-rate series.
     pub fn recorder(&self) -> &Recorder {
-        match &self.inner {
-            Inner::Xorp(sim) => sim.recorder(),
-            Inner::Ios(sim) => sim.recorder(),
-        }
+        self.sim.recorder()
     }
 
     /// Places a phase mark at the current simulated time.
     pub fn mark(&mut self, label: &str) {
         let now = self.now_secs();
-        match &mut self.inner {
-            Inner::Xorp(sim) => sim.recorder_mut().mark(label, now),
-            Inner::Ios(sim) => sim.recorder_mut().mark(label, now),
-        }
+        self.sim.recorder_mut().mark(label, now);
     }
 }
 
@@ -510,5 +477,67 @@ mod tests {
         let queued = router.queue_export(SPEAKER_2, 500);
         assert!(queued >= 1);
         assert!(router.run_until_exports(150, 60.0).is_some());
+    }
+
+    #[test]
+    fn exports_resolve_the_registered_peer_not_the_handle() {
+        // Peer ids need not be handle + 1: the export must still apply
+        // split horizon toward the speaker the routes came from.
+        let peers = [
+            PeerInfo::new(
+                PeerId(7),
+                Asn(65001),
+                RouterId(0x0A00_0002),
+                Ipv4Addr::new(10, 0, 0, 2),
+            ),
+            PeerInfo::new(
+                PeerId(9),
+                Asn(65002),
+                RouterId(0x0A00_0003),
+                Ipv4Addr::new(10, 0, 0, 3),
+            ),
+        ];
+        let mut router = SimRouter::with_peers(&pentium3(), &peers, LOCAL_ASN);
+        let table = TableGenerator::new(1).generate(40);
+        router.load_script(
+            SPEAKER_1,
+            SpeakerScript::new(workload::announcements(
+                &table,
+                &announce_spec(500, 3, 65001),
+            )),
+        );
+        router.run_until_transactions(40, 60.0).unwrap();
+        assert!(router.export_messages(SPEAKER_1, 10).is_empty());
+        let toward_speaker2 = router.export_messages(SPEAKER_2, 10);
+        assert_eq!(workload::transaction_count(&toward_speaker2), 40);
+        assert_eq!(router.queue_export(SPEAKER_2, 10), toward_speaker2.len());
+        assert!(router.run_until_exports(40, 60.0).is_some());
+        assert_eq!(router.exported_transactions(), 40);
+    }
+
+    #[test]
+    fn a_reordering_link_swaps_one_pair_on_arrival() {
+        // Announce-then-withdraw leaves the tables empty. Swapped on
+        // the wire, the withdrawal arrives first (for a route not yet
+        // there) and the announcement sticks.
+        let table = TableGenerator::new(1).generate(1);
+        let script = || {
+            let mut updates = workload::announcements(&table, &announce_spec(1, 3, 65001));
+            updates.extend(workload::withdrawals(&table, 1));
+            SpeakerScript::new(updates)
+        };
+        for spec in [pentium3(), cisco3620()] {
+            let mut in_order = SimRouter::new(&spec);
+            in_order.load_script(SPEAKER_1, script());
+            in_order.run_until_transactions(2, 60.0).unwrap();
+            assert_eq!(in_order.fib_len(), 0, "{}", spec.name);
+
+            let mut swapped = SimRouter::new(&spec);
+            swapped.reorder_next(SPEAKER_1, 1);
+            swapped.load_script(SPEAKER_1, script());
+            swapped.run_until_transactions(2, 60.0).unwrap();
+            assert_eq!(swapped.fib_len(), 1, "{}", spec.name);
+            assert_eq!(swapped.loc_rib_len(), 1, "{}", spec.name);
+        }
     }
 }

@@ -1,22 +1,15 @@
-//! The XORP software-router model: five cooperating processes running
-//! the real RIB engine and FIB, with calibrated per-stage cycle costs.
+//! The XORP cost model: five cooperating processes with calibrated
+//! per-stage cycle costs, over the shared [`ControlPlane`].
 
-use std::collections::{HashMap, VecDeque};
-use std::net::Ipv4Addr;
+use std::collections::HashMap;
 
-use bgpbench_fib::{Fib, NextHop};
-use bgpbench_rib::{
-    AdjRibOut, FibDirective, PeerId, PeerInfo, RouteChange, RouteMap, ShardedRibEngine,
-};
-use bgpbench_simnet::{Job, Model, ProcessBuilder, ProcessId, SchedClass, TickContext};
-use bgpbench_speaker::SpeakerScript;
-use bgpbench_telemetry::{self as telemetry, MetricId, SpanId};
-use bgpbench_wire::{Asn, RouterId, UpdateMessage};
+use bgpbench_rib::{FibDirective, PeerId, RouteChange};
+use bgpbench_simnet::{Job, ProcessBuilder, ProcessId, SchedClass, TickContext};
+use bgpbench_wire::UpdateMessage;
 
 use crate::costs::XorpCosts;
-use crate::crosstraffic::{CrossTraffic, JOB_KFWD};
-use crate::faults::LinkFaults;
-use crate::CrossCosts;
+use crate::crosstraffic::JOB_KFWD;
+use crate::plane::ControlPlane;
 
 const JOB_PARSE: u16 = 1;
 const JOB_POLICY: u16 = 2;
@@ -67,85 +60,29 @@ struct Pending {
     directives: Vec<FibDirective>,
 }
 
-/// Per-speaker connection state.
-#[derive(Debug)]
-struct Speaker {
-    peer: PeerId,
-    script: Option<SpeakerScript>,
-    /// Messages per second the speaker is throttled to (`None` =
-    /// as fast as flow control allows, the benchmark default).
-    rate_msgs_per_sec: Option<f64>,
-    /// Fractional-message carry for rated injection.
-    carry: f64,
-    /// Session/link fault state (the topology engine's injection
-    /// point).
-    faults: LinkFaults,
-}
-
 /// The XORP 1.3 software model (paper §IV.B): `xorp_bgp`,
 /// `xorp_policy`, `xorp_rib`, `xorp_fea`, and `xorp_rtrmgr` as
 /// user-space processes, plus kernel forwarding/route-apply and
-/// interrupt handling. Runs the real [`ShardedRibEngine`] and [`Fib`];
-/// the cost table only decides *when* things happen, never *what*.
+/// interrupt handling. A received UPDATE waits in the inbox while
+/// `xorp_bgp` parses it; the plane's engine sees it when the parse
+/// completes, and the stages it then owes are priced from the
+/// per-prefix outcomes. The cost table only decides *when* things
+/// happen, never *what*.
 #[derive(Debug)]
-pub struct XorpModel {
+pub(crate) struct XorpPipeline {
     costs: XorpCosts,
     cpu_hz: f64,
-    tick_secs: f64,
     procs: Procs,
-    engine: ShardedRibEngine,
-    fib: Fib,
-    speakers: Vec<Speaker>,
     inbox: HashMap<u64, (PeerId, UpdateMessage)>,
     pending: HashMap<u64, Pending>,
     next_tag: u64,
-    export_queue: VecDeque<UpdateMessage>,
-    cross: CrossTraffic,
-    transactions_done: u64,
-    exported_transactions: u64,
-    local_address: Ipv4Addr,
     /// Last time (seconds) pipeline backlogs were sampled.
     last_backlog_sample_s: f64,
 }
 
-impl XorpModel {
-    /// The default local AS of a simulated router under test.
-    pub const LOCAL_ASN: Asn = Asn(65000);
-
-    /// Builds the model, registering its seven processes with
-    /// `builder` and one RIB peer per entry of `speakers`.
-    pub fn new(
-        costs: XorpCosts,
-        cross_costs: CrossCosts,
-        cpu_hz: f64,
-        tick_secs: f64,
-        builder: &mut ProcessBuilder,
-        speakers: &[PeerInfo],
-    ) -> Self {
-        Self::with_local_asn(
-            costs,
-            cross_costs,
-            cpu_hz,
-            tick_secs,
-            builder,
-            speakers,
-            Self::LOCAL_ASN,
-        )
-    }
-
-    /// [`XorpModel::new`] with an explicit local AS — required when
-    /// several simulated routers are chained (each AS must be distinct
-    /// or loop prevention discards the re-exported routes).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_local_asn(
-        costs: XorpCosts,
-        cross_costs: CrossCosts,
-        cpu_hz: f64,
-        tick_secs: f64,
-        builder: &mut ProcessBuilder,
-        speakers: &[PeerInfo],
-        local_asn: Asn,
-    ) -> Self {
+impl XorpPipeline {
+    /// Registers the model's seven processes with `builder`.
+    pub(crate) fn new(costs: XorpCosts, cpu_hz: f64, builder: &mut ProcessBuilder) -> Self {
         let procs = Procs {
             bgp: builder.add_process("xorp_bgp", SchedClass::User),
             policy: builder.add_process("xorp_policy", SchedClass::User),
@@ -155,216 +92,39 @@ impl XorpModel {
             kernel: builder.add_process("kernel", SchedClass::Kernel),
             irq: builder.add_process("interrupts", SchedClass::Interrupt),
         };
-        let local_address = Ipv4Addr::new(10, 0, 0, 1);
-        let mut engine = ShardedRibEngine::new(local_asn, RouterId(u32::from(local_address)));
-        let speakers = speakers
-            .iter()
-            .map(|info| Speaker {
-                peer: engine.add_peer(*info),
-                script: None,
-                rate_msgs_per_sec: None,
-                carry: 0.0,
-                faults: LinkFaults::default(),
-            })
-            .collect();
-        XorpModel {
+        XorpPipeline {
             costs,
             cpu_hz,
-            tick_secs,
             procs,
-            engine,
-            fib: Fib::new(),
-            speakers,
             inbox: HashMap::new(),
             pending: HashMap::new(),
             next_tag: 0,
-            export_queue: VecDeque::new(),
-            cross: CrossTraffic::new(cross_costs),
-            transactions_done: 0,
-            exported_transactions: 0,
-            local_address,
             last_backlog_sample_s: 0.0,
         }
     }
 
-    /// Assigns the message stream a speaker will send. Replaces any
-    /// unfinished previous script.
-    pub fn load_script(&mut self, speaker: usize, script: SpeakerScript) {
-        self.speakers[speaker].script = Some(script);
-        self.speakers[speaker].rate_msgs_per_sec = None;
-        self.speakers[speaker].carry = 0.0;
+    /// Whether no UPDATE is waiting for its parse or its later stages.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.inbox.is_empty() && self.pending.is_empty()
     }
 
-    /// Like [`XorpModel::load_script`], but the speaker paces itself to
-    /// `msgs_per_sec` instead of flooding — the steady-state operation
-    /// the paper cites ("in the order of 100 BGP messages per second").
-    pub fn load_script_rated(&mut self, speaker: usize, script: SpeakerScript, msgs_per_sec: f64) {
-        assert!(msgs_per_sec > 0.0, "rate must be positive");
-        self.speakers[speaker].script = Some(script);
-        self.speakers[speaker].rate_msgs_per_sec = Some(msgs_per_sec);
-        self.speakers[speaker].carry = 0.0;
-    }
-
-    /// Queues a Phase-2 full-table export toward `speaker`, packetized
-    /// at `prefixes_per_update`. Returns the number of UPDATE messages
-    /// queued.
-    pub fn queue_export(&mut self, speaker: usize, prefixes_per_update: usize) -> usize {
-        let peer = self.speakers[speaker].peer;
-        let routes = self.engine.export_routes(peer, self.local_address);
-        let mut adj_out = AdjRibOut::new();
-        let actions = adj_out.sync(routes);
-        let updates = AdjRibOut::to_updates(&actions, prefixes_per_update);
-        let n = updates.len();
-        self.export_queue.extend(updates);
-        n
-    }
-
-    /// Prefix-level transactions fully processed (through the FIB when
-    /// the scenario requires it) — the benchmark's counted unit.
-    pub fn transactions_done(&self) -> u64 {
-        self.transactions_done
-    }
-
-    /// Prefix-level transactions advertised in Phase-2 exports.
-    pub fn exported_transactions(&self) -> u64 {
-        self.exported_transactions
-    }
-
-    /// Whether all loaded scripts, exports, and in-flight work have
-    /// drained.
-    pub fn is_quiescent(&self) -> bool {
-        self.inbox.is_empty()
-            && self.pending.is_empty()
-            && self.export_queue.is_empty()
-            && self
-                .speakers
-                .iter()
-                .all(|s| s.script.as_ref().is_none_or(SpeakerScript::is_exhausted))
-    }
-
-    /// Gates speaker input on session state: while `false` the speaker
-    /// link is down and its script is untouched.
-    pub fn set_speaker_enabled(&mut self, speaker: usize, enabled: bool) {
-        self.speakers[speaker].faults.enabled = enabled;
-    }
-
-    /// Arms the link to drop the speaker's next `n` messages (taken
-    /// off the script, never parsed).
-    pub fn drop_next(&mut self, speaker: usize, n: u32) {
-        self.speakers[speaker].faults.drop_next = n;
-    }
-
-    /// Holds the speaker's input back until simulated time `until_s`.
-    pub fn delay_input_until(&mut self, speaker: usize, until_s: f64) {
-        self.speakers[speaker].faults.delay_until_s = until_s;
-    }
-
-    /// Arms the link to swap the speaker's next `n` message pairs.
-    pub fn reorder_next(&mut self, speaker: usize, n: u32) {
-        self.speakers[speaker].faults.reorder_next = n;
-    }
-
-    /// Rewinds the speaker's script for a full re-advertisement (peer
-    /// restart). The caller accounts for transactions already taken —
-    /// [`SpeakerScript::reset`] zeroes the counter.
-    pub fn reset_script(&mut self, speaker: usize) {
-        if let Some(script) = self.speakers[speaker].script.as_mut() {
-            script.reset();
-        }
-    }
-
-    /// Prefix-level transactions the speaker's script has handed out
-    /// since its last load or reset.
-    pub fn speaker_transactions_taken(&self, speaker: usize) -> u64 {
-        self.speakers[speaker]
-            .script
-            .as_ref()
-            .map_or(0, |s| s.transactions_taken() as u64)
-    }
-
-    /// Session-down purge: withdraws everything learned from the
-    /// speaker's peer, re-running best-path per affected prefix, and
-    /// applies the resulting FIB changes immediately (the purge is a
-    /// local control-plane action, not a scripted message). Stale FIB
-    /// directives from the peer's still-in-flight messages are
-    /// cancelled. Returns the number of affected prefixes.
-    pub fn purge_speaker(&mut self, speaker: usize) -> usize {
-        let peer = self.speakers[speaker].peer;
+    /// Session down: unparsed messages from `peer` are discarded and
+    /// the stale FIB directives of its messages past the parse are
+    /// cancelled (their jobs still run out).
+    pub(crate) fn cancel_in_flight(&mut self, peer: PeerId) {
         self.inbox.retain(|_, (from, _)| *from != peer);
         for pending in self.pending.values_mut() {
             if pending.peer == peer {
                 pending.directives.clear();
             }
         }
-        let Ok(outcomes) = self.engine.purge_peer(peer) else {
-            return 0;
-        };
-        let _span = (!outcomes.is_empty())
-            .then(|| telemetry::span(SpanId::FibApply))
-            .flatten();
-        for outcome in &outcomes {
-            match outcome.fib {
-                Some(FibDirective::Install { prefix, next_hop }) => {
-                    telemetry::incr(MetricId::FibInstalls);
-                    self.fib.insert(prefix, NextHop::new(next_hop, 0));
-                }
-                Some(FibDirective::Remove { prefix }) => {
-                    telemetry::incr(MetricId::FibRemoves);
-                    self.fib.remove(&prefix);
-                }
-                None => {}
-            }
-        }
-        outcomes.len()
     }
 
-    /// Sets the cross-traffic offered load.
-    pub fn set_cross_rate_mbps(&mut self, mbps: f64) {
-        self.cross.set_rate_mbps(mbps);
-    }
-
-    /// Cross-traffic accounting so far.
-    pub fn cross_summary(&self) -> crate::CrossSummary {
-        self.cross.summary()
-    }
-
-    /// The routing engine (for inspecting RIB state after a run).
-    pub fn engine(&self) -> &ShardedRibEngine {
-        &self.engine
-    }
-
-    /// Repartitions the (still-empty) RIB into `shards` shards — a
-    /// configuration-time knob, set before any script runs. Shard
-    /// count never changes the *simulated* cost attribution: the
-    /// platforms model 2007-era single-threaded daemons, so cycle
-    /// charges depend only on the per-prefix outcomes, which are
-    /// bit-identical across shard counts.
-    pub fn set_rib_shards(&mut self, shards: usize) {
-        self.engine.set_shards(shards);
-    }
-
-    /// The forwarding table.
-    pub fn fib(&self) -> &Fib {
-        &self.fib
-    }
-
-    /// Installs the import route-map (Adj-RIB-In → Loc-RIB). Each
-    /// configured entry adds one evaluation pass to the policy
-    /// process's per-announcement cost.
-    pub fn set_import_policy(&mut self, policy: RouteMap) {
-        self.engine.set_import_policy(policy);
-    }
-
-    /// Installs the export route-map (Loc-RIB → Adj-RIB-Out).
-    pub fn set_export_policy(&mut self, policy: RouteMap) {
-        self.engine.set_export_policy(policy);
-    }
-
-    fn classify(&mut self, tag: u64) -> Pending {
+    fn classify(&mut self, tag: u64, plane: &mut ControlPlane) -> Pending {
         let (peer, update) = self.inbox.remove(&tag).expect("parse without inbox entry");
         let n_ann = update.nlri().len() as u32;
         let n_wd = update.withdrawn().len() as u32;
-        let outcomes = self
+        let outcomes = plane
             .engine
             .apply_update(peer, &update)
             .expect("benchmark updates are well-formed");
@@ -372,7 +132,7 @@ impl XorpModel {
         // Each configured route-map entry adds one evaluation pass on
         // top of the baseline policy cost, so an empty (permit-all)
         // map prices exactly as before policies existed.
-        let policy_scale = 1.0 + self.engine.import_policy().len() as f64;
+        let policy_scale = 1.0 + plane.engine.import_policy().len() as f64;
         let mut pending = Pending {
             peer,
             transactions: n_ann + n_wd,
@@ -419,7 +179,13 @@ impl XorpModel {
 
     /// Advances a message to its next nonzero pipeline stage, or
     /// retires it.
-    fn advance(&mut self, tag: u64, completed_kind: u16, ctx: &mut TickContext<'_>) {
+    fn advance(
+        &mut self,
+        tag: u64,
+        completed_kind: u16,
+        plane: &mut ControlPlane,
+        ctx: &mut TickContext<'_>,
+    ) {
         let Some(pending) = self.pending.get(&tag) else {
             return;
         };
@@ -445,37 +211,19 @@ impl XorpModel {
                 return;
             }
         }
-        // Pipeline complete: apply the FIB writes and count.
         let pending = self.pending.remove(&tag).expect("checked above");
-        let _span = (!pending.directives.is_empty())
-            .then(|| telemetry::span(SpanId::FibApply))
-            .flatten();
-        for directive in pending.directives {
-            match directive {
-                FibDirective::Install { prefix, next_hop } => {
-                    telemetry::incr(MetricId::FibInstalls);
-                    self.fib.insert(prefix, NextHop::new(next_hop, 0));
-                }
-                FibDirective::Remove { prefix } => {
-                    telemetry::incr(MetricId::FibRemoves);
-                    self.fib.remove(&prefix);
-                }
-            }
-        }
-        self.transactions_done += u64::from(pending.transactions);
+        plane.complete(pending.transactions, pending.directives);
     }
-}
 
-impl Model for XorpModel {
-    fn on_tick(&mut self, ctx: &mut TickContext<'_>) {
+    pub(crate) fn on_tick(&mut self, plane: &mut ControlPlane, ctx: &mut TickContext<'_>) {
         // Periodic router-manager housekeeping: only while routing
         // work is in flight (its idle-state load is negligible and
         // gating it lets drained simulations terminate).
         if self.costs.rtrmgr_frac > 0.0
-            && !self.is_quiescent()
+            && !(self.is_idle() && plane.is_drained())
             && ctx.queue_len(self.procs.rtrmgr) < RTRMGR_BACKLOG
         {
-            let cycles = self.costs.rtrmgr_frac * self.cpu_hz * self.tick_secs;
+            let cycles = self.costs.rtrmgr_frac * self.cpu_hz * plane.tick_secs();
             ctx.push(self.procs.rtrmgr, Job::new(JOB_RTRMGR, cycles));
         }
 
@@ -501,15 +249,7 @@ impl Model for XorpModel {
             ctx.record("inflight_prefixes", f64::from(inflight_prefixes));
         }
 
-        // Cross-traffic arrivals.
-        let kernel_backlog = ctx.queue_len(self.procs.kernel);
-        self.cross.on_tick(
-            ctx,
-            self.tick_secs,
-            self.procs.irq,
-            self.procs.kernel,
-            kernel_backlog,
-        );
+        plane.cross_tick(ctx, self.procs.irq, self.procs.kernel);
 
         // Speaker input with two levels of backpressure: the socket
         // buffer ahead of `xorp_bgp` (INPUT_LIMIT) and the bounded
@@ -518,109 +258,53 @@ impl Model for XorpModel {
         let mut room = INPUT_LIMIT
             .saturating_sub(ctx.queue_len(self.procs.bgp))
             .min(PIPELINE_LIMIT.saturating_sub(inflight_messages));
-        for idx in 0..self.speakers.len() {
-            // Down or delayed links accept no input and accrue no send
-            // allowance — the speaker backs off with the session.
-            if !self.speakers[idx].faults.enabled || now < self.speakers[idx].faults.delay_until_s {
-                continue;
-            }
-            // Rated speakers accrue an allowance per tick; flooding
-            // speakers are bounded only by flow control.
-            let mut allowance = match self.speakers[idx].rate_msgs_per_sec {
-                Some(rate) => {
-                    self.speakers[idx].carry += rate * self.tick_secs;
-                    let whole = self.speakers[idx].carry.floor();
-                    self.speakers[idx].carry -= whole;
-                    whole as usize
-                }
-                None => usize::MAX,
-            };
-            while room > 0 && allowance > 0 {
-                let peer = self.speakers[idx].peer;
-                // Lossy link: messages arrive but are dropped before
-                // parse — they consume the script and the sender's
-                // allowance without entering the pipeline.
-                if self.speakers[idx].faults.drop_next > 0 {
-                    allowance -= 1;
-                    let Some(script) = self.speakers[idx].script.as_mut() else {
-                        break;
-                    };
-                    if script.take(1).is_empty() {
-                        break;
-                    }
-                    self.speakers[idx].faults.drop_next -= 1;
-                    continue;
-                }
-                // Reordering link: take the next pair and parse it in
-                // reversed arrival order (needs room for both).
-                let swap =
-                    self.speakers[idx].faults.reorder_next > 0 && room >= 2 && allowance >= 2;
-                let Some(script) = self.speakers[idx].script.as_mut() else {
-                    break;
-                };
-                let mut batch = script.take(if swap { 2 } else { 1 }).to_vec();
-                if batch.is_empty() {
-                    break;
-                }
-                if swap && batch.len() == 2 {
-                    self.speakers[idx].faults.reorder_next -= 1;
-                    batch.reverse();
-                }
-                for update in batch {
-                    allowance = allowance.saturating_sub(1);
-                    room -= 1;
-                    let n_ann = update.nlri().len() as u32;
-                    let n_wd = update.withdrawn().len() as u32;
-                    let cycles = self.costs.pkt_base
-                        + f64::from(n_ann) * self.costs.parse_ann
-                        + f64::from(n_wd) * self.costs.parse_wd;
-                    let tag = self.next_tag;
-                    self.next_tag += 1;
-                    self.inbox.insert(tag, (peer, update));
-                    ctx.push(
-                        self.procs.bgp,
-                        Job::new(JOB_PARSE, cycles)
-                            .with_tag(tag)
-                            .with_count(n_ann + n_wd),
-                    );
-                }
-            }
-        }
+        plane.take_input(&mut room, |_engine, peer, update| {
+            let n_ann = update.nlri().len() as u32;
+            let n_wd = update.withdrawn().len() as u32;
+            let cycles = self.costs.pkt_base
+                + f64::from(n_ann) * self.costs.parse_ann
+                + f64::from(n_wd) * self.costs.parse_wd;
+            let tag = self.next_tag;
+            self.next_tag += 1;
+            self.inbox.insert(tag, (peer, update));
+            ctx.push(
+                self.procs.bgp,
+                Job::new(JOB_PARSE, cycles)
+                    .with_tag(tag)
+                    .with_count(n_ann + n_wd),
+            );
+        });
 
         // Phase-2 exports share the BGP process. Export route-map
         // entries scale the per-prefix cost like import entries do.
-        let export_scale = 1.0 + self.engine.export_policy().len() as f64;
-        while room > 0 {
-            let Some(update) = self.export_queue.pop_front() else {
-                break;
-            };
-            let n = update.transaction_count() as u32;
+        let export_scale = 1.0 + plane.engine.export_policy().len() as f64;
+        plane.take_exports(room, |n| {
             let cycles =
                 self.costs.pkt_base + f64::from(n) * self.costs.export_per_prefix * export_scale;
             ctx.push(self.procs.bgp, Job::new(JOB_EXPORT, cycles).with_count(n));
-            room -= 1;
-        }
+        });
     }
 
-    fn on_job_complete(&mut self, _pid: ProcessId, job: Job, ctx: &mut TickContext<'_>) {
+    pub(crate) fn on_job_complete(
+        &mut self,
+        plane: &mut ControlPlane,
+        job: Job,
+        ctx: &mut TickContext<'_>,
+    ) {
         match job.kind {
             // The inbox entry may have been purged by a session-down
             // event while the parse was in flight; such a parse
             // completes into the catch-all below.
             JOB_PARSE if self.inbox.contains_key(&job.tag) => {
-                let pending = self.classify(job.tag);
+                let pending = self.classify(job.tag, plane);
                 self.pending.insert(job.tag, pending);
-                self.advance(job.tag, JOB_PARSE, ctx);
+                self.advance(job.tag, JOB_PARSE, plane, ctx);
             }
             JOB_POLICY | JOB_DECIDE | JOB_RIB | JOB_FEA | JOB_KFIB => {
-                self.advance(job.tag, job.kind, ctx);
+                self.advance(job.tag, job.kind, plane, ctx);
             }
-            JOB_EXPORT => {
-                self.exported_transactions += u64::from(job.count);
-            }
-            JOB_KFWD => {
-                self.cross.on_forwarded(job.count);
-            }
+            JOB_EXPORT => plane.on_exported(job.count),
+            JOB_KFWD => plane.cross.on_forwarded(job.count),
             _ => {}
         }
     }
@@ -628,10 +312,15 @@ impl Model for XorpModel {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use bgpbench_simnet::{SimConfig, SimDuration, Simulator};
-    use bgpbench_speaker::{workload, TableGenerator};
-    use bgpbench_wire::Prefix;
+    use std::net::Ipv4Addr;
+
+    use bgpbench_rib::{PeerId, PeerInfo};
+    use bgpbench_simnet::{SimDuration, Simulator};
+    use bgpbench_speaker::{workload, SpeakerScript, TableGenerator};
+    use bgpbench_wire::{Asn, Prefix, RouterId, UpdateMessage};
+
+    use crate::plane::LOCAL_ASN;
+    use crate::router::RouterModel;
 
     fn two_speakers() -> Vec<PeerInfo> {
         vec![
@@ -650,17 +339,13 @@ mod tests {
         ]
     }
 
-    fn pentium3_sim() -> Simulator<XorpModel> {
-        let spec = crate::pentium3();
-        let config = SimConfig::new(vec![spec.core; spec.cores]);
-        let tick = config.tick.as_secs_f64();
-        let hz = spec.core.hz;
-        Simulator::new(config, |builder| {
-            let crate::PlatformKind::Xorp(costs) = spec.kind else {
-                unreachable!()
-            };
-            XorpModel::new(costs, spec.cross, hz, tick, builder, &two_speakers())
-        })
+    fn pentium3_sim() -> Simulator<RouterModel> {
+        RouterModel::simulator(&crate::pentium3(), &two_speakers(), LOCAL_ASN)
+    }
+
+    fn load(sim: &mut Simulator<RouterModel>, speaker: usize, updates: Vec<UpdateMessage>) {
+        let script = SpeakerScript::new(updates);
+        sim.model_mut().plane.load_script(speaker, script, None);
     }
 
     fn spec_for(asn: u16, pkt: usize, path_len: usize) -> workload::AnnounceSpec {
@@ -678,14 +363,14 @@ mod tests {
         let mut sim = pentium3_sim();
         let table = TableGenerator::new(1).generate(200);
         let updates = workload::announcements(&table, &spec_for(65001, 500, 3));
-        sim.model_mut().load_script(0, SpeakerScript::new(updates));
+        load(&mut sim, 0, updates);
         let outcome = sim.run(SimDuration::from_secs(60));
         assert!(outcome.went_idle());
-        let model = sim.model();
+        let model = &sim.model().plane;
         assert_eq!(model.transactions_done(), 200);
-        assert_eq!(model.engine().loc_rib().len(), 200);
+        assert_eq!(model.engine.loc_rib().len(), 200);
         assert_eq!(model.fib().len(), 200);
-        assert!(model.is_quiescent());
+        assert!(sim.model().is_quiescent());
     }
 
     #[test]
@@ -699,13 +384,13 @@ mod tests {
         let table = TableGenerator::new(1).generate(200);
         let updates = workload::announcements(&table, &spec_for(65001, 500, 3));
         assert_eq!(updates.len(), 1);
-        sim.model_mut().load_script(0, SpeakerScript::new(updates));
+        load(&mut sim, 0, updates);
         let outcome = sim.run(SimDuration::from_secs(60));
         assert!(outcome.went_idle());
-        let model = sim.model();
-        assert_eq!(model.engine().loc_rib().len(), 200);
-        assert_eq!(model.engine().attr_store_len(), 1);
-        let rib = model.engine().adj_rib_in(PeerId(1)).unwrap();
+        let model = &sim.model().plane;
+        assert_eq!(model.engine.loc_rib().len(), 200);
+        assert_eq!(model.engine.attr_store_len(), 1);
+        let rib = model.engine.adj_rib_in(PeerId(1)).unwrap();
         let a = rib.get(&table[0]).unwrap();
         let b = rib.get(&table[199]).unwrap();
         assert!(std::sync::Arc::ptr_eq(a, b));
@@ -718,7 +403,7 @@ mod tests {
         let mut sim = pentium3_sim();
         let table = TableGenerator::new(1).generate(1000);
         let updates = workload::announcements(&table, &spec_for(65001, 500, 3));
-        sim.model_mut().load_script(0, SpeakerScript::new(updates));
+        load(&mut sim, 0, updates);
         let outcome = sim.run(SimDuration::from_secs(60));
         let tps = 1000.0 / outcome.elapsed.as_secs_f64();
         assert!(
@@ -733,19 +418,21 @@ mod tests {
         // path; Loc-RIB best and FIB stay put.
         let mut sim = pentium3_sim();
         let table = TableGenerator::new(1).generate(100);
-        sim.model_mut().load_script(
+        load(
+            &mut sim,
             0,
-            SpeakerScript::new(workload::announcements(&table, &spec_for(65001, 500, 3))),
+            workload::announcements(&table, &spec_for(65001, 500, 3)),
         );
         sim.run(SimDuration::from_secs(60));
-        let fib_gen_before = sim.model().fib().generation();
+        let fib_gen_before = sim.model().plane.fib().generation();
 
-        sim.model_mut().load_script(
+        load(
+            &mut sim,
             1,
-            SpeakerScript::new(workload::announcements(&table, &spec_for(65002, 500, 6))),
+            workload::announcements(&table, &spec_for(65002, 500, 6)),
         );
         sim.run(SimDuration::from_secs(60));
-        let model = sim.model();
+        let model = &sim.model().plane;
         assert_eq!(model.transactions_done(), 200);
         assert_eq!(
             model.fib().generation(),
@@ -759,17 +446,19 @@ mod tests {
         // Scenario 7/8 situation: speaker 2 announces a shorter path.
         let mut sim = pentium3_sim();
         let table = TableGenerator::new(1).generate(50);
-        sim.model_mut().load_script(
+        load(
+            &mut sim,
             0,
-            SpeakerScript::new(workload::announcements(&table, &spec_for(65001, 500, 4))),
+            workload::announcements(&table, &spec_for(65001, 500, 4)),
         );
         sim.run(SimDuration::from_secs(60));
-        sim.model_mut().load_script(
+        load(
+            &mut sim,
             1,
-            SpeakerScript::new(workload::announcements(&table, &spec_for(65002, 500, 2))),
+            workload::announcements(&table, &spec_for(65002, 500, 2)),
         );
         sim.run(SimDuration::from_secs(120));
-        let model = sim.model();
+        let model = &sim.model().plane;
         // Every prefix now forwards toward speaker 2.
         let hop = model
             .fib()
@@ -782,17 +471,17 @@ mod tests {
     fn withdrawals_empty_the_tables() {
         let mut sim = pentium3_sim();
         let table = TableGenerator::new(1).generate(100);
-        sim.model_mut().load_script(
+        load(
+            &mut sim,
             0,
-            SpeakerScript::new(workload::announcements(&table, &spec_for(65001, 500, 3))),
+            workload::announcements(&table, &spec_for(65001, 500, 3)),
         );
         sim.run(SimDuration::from_secs(60));
-        sim.model_mut()
-            .load_script(0, SpeakerScript::new(workload::withdrawals(&table, 500)));
+        load(&mut sim, 0, workload::withdrawals(&table, 500));
         sim.run(SimDuration::from_secs(60));
-        let model = sim.model();
+        let model = &sim.model().plane;
         assert_eq!(model.transactions_done(), 200);
-        assert!(model.engine().loc_rib().is_empty());
+        assert!(model.engine.loc_rib().is_empty());
         assert!(model.fib().is_empty());
     }
 
@@ -800,15 +489,16 @@ mod tests {
     fn export_phase_advertises_the_table() {
         let mut sim = pentium3_sim();
         let table = TableGenerator::new(1).generate(300);
-        sim.model_mut().load_script(
+        load(
+            &mut sim,
             0,
-            SpeakerScript::new(workload::announcements(&table, &spec_for(65001, 500, 3))),
+            workload::announcements(&table, &spec_for(65001, 500, 3)),
         );
         sim.run(SimDuration::from_secs(60));
-        let queued = sim.model_mut().queue_export(1, 500);
+        let queued = sim.model_mut().plane.queue_export(1, 500);
         assert!(queued >= 1);
         sim.run(SimDuration::from_secs(60));
-        assert_eq!(sim.model().exported_transactions(), 300);
+        assert_eq!(sim.model().plane.exported_transactions(), 300);
     }
 
     #[test]
@@ -816,12 +506,13 @@ mod tests {
         let table = TableGenerator::new(1).generate(300);
         let elapsed = |mbps: f64| {
             let mut sim = pentium3_sim();
-            sim.model_mut().set_cross_rate_mbps(mbps);
-            sim.model_mut().load_script(
+            sim.model_mut().plane.cross.set_rate_mbps(mbps);
+            load(
+                &mut sim,
                 0,
-                SpeakerScript::new(workload::announcements(&table, &spec_for(65001, 500, 3))),
+                workload::announcements(&table, &spec_for(65001, 500, 3)),
             );
-            let done = |m: &XorpModel| m.transactions_done() >= 300;
+            let done = |m: &RouterModel| m.plane.transactions_done() >= 300;
             let outcome = sim.run_until(SimDuration::from_secs(120), done);
             outcome.elapsed.as_secs_f64()
         };
@@ -836,9 +527,9 @@ mod tests {
     #[test]
     fn cross_traffic_is_forwarded_when_cpu_allows() {
         let mut sim = pentium3_sim();
-        sim.model_mut().set_cross_rate_mbps(100.0);
+        sim.model_mut().plane.cross.set_rate_mbps(100.0);
         sim.run_until(SimDuration::from_secs(2), |_| false);
-        let summary = sim.model().cross_summary();
+        let summary = sim.model().plane.cross.summary();
         assert!(summary.offered_pkts > 10_000);
         assert!(summary.delivery_ratio() > 0.99, "{summary:?}");
     }
@@ -848,9 +539,10 @@ mod tests {
         let table = TableGenerator::new(1).generate(200);
         let run = |pkt: usize| {
             let mut sim = pentium3_sim();
-            sim.model_mut().load_script(
+            load(
+                &mut sim,
                 0,
-                SpeakerScript::new(workload::announcements(&table, &spec_for(65001, pkt, 3))),
+                workload::announcements(&table, &spec_for(65001, pkt, 3)),
             );
             sim.run(SimDuration::from_secs(120)).elapsed.as_secs_f64()
         };
@@ -871,19 +563,18 @@ mod tests {
                 bgpbench_wire::Origin::Igp,
             ))
             .attribute(bgpbench_wire::PathAttribute::AsPath(
-                bgpbench_wire::AsPath::from_sequence([Asn(65001), XorpModel::LOCAL_ASN]),
+                bgpbench_wire::AsPath::from_sequence([Asn(65001), LOCAL_ASN]),
             ))
             .attribute(bgpbench_wire::PathAttribute::NextHop(Ipv4Addr::new(
                 10, 0, 0, 2,
             )))
             .announce(prefix)
             .build();
-        sim.model_mut()
-            .load_script(0, SpeakerScript::new(vec![update]));
+        load(&mut sim, 0, vec![update]);
         sim.run(SimDuration::from_secs(10));
-        let model = sim.model();
+        let model = &sim.model().plane;
         assert_eq!(model.transactions_done(), 1);
         assert!(model.fib().is_empty());
-        assert_eq!(model.engine().stats().loop_rejected, 1);
+        assert_eq!(model.engine.stats().loop_rejected, 1);
     }
 }

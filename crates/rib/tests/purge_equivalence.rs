@@ -86,7 +86,7 @@ fn run_purge(
     }
 
     let mut outcomes = engine.purge_peer(PeerId(1)).expect("peer 1 is registered");
-    outcomes.sort_by(|a, b| a.prefix.cmp(&b.prefix));
+    outcomes.sort_by_key(|a| a.prefix);
 
     let mut survivors: Vec<(Prefix, PeerId, RouteAttributes)> = engine
         .loc_rib()
@@ -99,7 +99,7 @@ fn run_purge(
             )
         })
         .collect();
-    survivors.sort_by(|a, b| a.0.cmp(&b.0));
+    survivors.sort_by_key(|a| a.0);
 
     // Sanity: the partition must actually route prefixes to every
     // shard it can (vacuous multi-shard runs would prove nothing).
