@@ -1,6 +1,6 @@
-//! The one command line shared by every table/figure binary.
+//! The one command line shared by every `bgpbench` subcommand.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use bgpbench_core::experiments::ExperimentConfig;
 use bgpbench_core::{GridRunner, Render, StderrProgress};
@@ -39,7 +39,11 @@ impl TelemetryFormat {
     }
 }
 
-/// Parsed command line of a benchmark binary.
+/// The flags every subcommand takes, as the usage line prints them.
+pub const USAGE_FLAGS: &str = "[--quick] [--threads <n>] [--csv [<path>]] \
+     [--prefixes <n>] [--telemetry [text|json|csv]] [--trace <path>]";
+
+/// Parsed flags of a `bgpbench` subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cli {
     /// Workload sizing (`--quick` selects [`ExperimentConfig::quick`];
@@ -59,31 +63,18 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parses the process's arguments; prints usage and exits with
-    /// status 2 on an invalid command line.
-    pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(cli) => {
-                if cli.telemetry.is_some() {
-                    telemetry::enable();
-                }
-                if cli.trace.is_some() {
-                    telemetry::enable_trace(&telemetry::TraceConfig::default());
-                }
-                cli
-            }
-            Err(message) => {
-                eprintln!("error: {message}");
-                eprintln!(
-                    "usage: <bin> [--quick] [--threads <n>] [--csv [<path>]] \
-                     [--prefixes <n>] [--telemetry [text|json|csv]] [--trace <path>]"
-                );
-                std::process::exit(2);
-            }
+    /// Switches on the recorders the command line asked for
+    /// (`--telemetry`, `--trace`) before the subcommand runs.
+    pub fn arm_recorders(&self) {
+        if self.telemetry.is_some() {
+            telemetry::enable();
+        }
+        if self.trace.is_some() {
+            telemetry::enable_trace(&telemetry::TraceConfig::default());
         }
     }
 
-    /// Parses an explicit argument list (no program name).
+    /// Parses the flags after the subcommand name.
     pub fn parse<I>(args: I) -> Result<Self, String>
     where
         I: IntoIterator,
@@ -185,19 +176,15 @@ impl Cli {
     /// Prints the artifact's text rendering to stdout and routes its
     /// CSV to wherever `--csv` pointed. With `--telemetry`, dumps the
     /// registry snapshot to stderr afterwards (stderr so the metrics
-    /// never mix into a piped artifact).
+    /// never mix into a piped artifact); with `--trace`, writes the
+    /// timeline.
     pub fn emit(&self, artifact: &dyn Render) {
         print!("{}", artifact.text());
-        match &self.csv {
-            None => {}
-            Some(CsvSink::Stdout) => println!("\n{}", artifact.csv()),
-            Some(CsvSink::File(path)) => match std::fs::write(path, artifact.csv()) {
-                Ok(()) => eprintln!("wrote {}", path.display()),
-                Err(error) => {
-                    eprintln!("error: cannot write {}: {error}", path.display());
-                    std::process::exit(1);
-                }
-            },
+        self.route_csv(artifact, "");
+        if self.csv == Some(CsvSink::Stdout) {
+            // A blank line closes the CSV block, so whatever follows
+            // (a verdict, a second artifact) stays apart from it.
+            println!();
         }
         if let Some(format) = self.telemetry {
             let snapshot = telemetry::snapshot();
@@ -219,6 +206,67 @@ impl Cli {
             }
         }
     }
+
+    /// [`Cli::emit`], then the artifact's self-check: `reproduced` when
+    /// there are no violations, else `mismatches` and one line each.
+    pub fn emit_with_verdict(
+        &self,
+        artifact: &dyn Render,
+        violations: &[String],
+        reproduced: &str,
+        mismatches: &str,
+    ) {
+        self.emit(artifact);
+        if violations.is_empty() {
+            println!("\n{reproduced}");
+        } else {
+            println!("\n{mismatches}");
+            for violation in violations {
+                println!("  - {violation}");
+            }
+        }
+    }
+
+    /// Prints a run's second artifact after a blank line. Its CSV goes
+    /// to the same `--csv` sink, with `suffix` on the file's stem so
+    /// the two artifacts never overwrite each other.
+    pub fn emit_second(&self, artifact: &dyn Render, suffix: &str) {
+        println!();
+        print!("{}", artifact.text());
+        self.route_csv(artifact, suffix);
+    }
+
+    /// Sends the artifact's CSV to the `--csv` sink: stdout after a
+    /// blank line, or the named file with `suffix` appended to its
+    /// stem (exit 1 when it cannot be written — after the text has
+    /// been printed).
+    fn route_csv(&self, artifact: &dyn Render, suffix: &str) {
+        match &self.csv {
+            None => {}
+            Some(CsvSink::Stdout) => print!("\n{}", artifact.csv()),
+            Some(CsvSink::File(path)) => {
+                let path = with_stem_suffix(path, suffix);
+                match std::fs::write(&path, artifact.csv()) {
+                    Ok(()) => eprintln!("wrote {}", path.display()),
+                    Err(error) => {
+                        eprintln!("error: cannot write {}: {error}", path.display());
+                        std::process::exit(1);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `<stem>.<ext>` -> `<stem><suffix>.<ext>`.
+fn with_stem_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.file_stem().unwrap_or_default().to_os_string();
+    name.push(suffix);
+    if let Some(extension) = path.extension() {
+        name.push(".");
+        name.push(extension);
+    }
+    path.with_file_name(name)
 }
 
 fn parse_prefixes(value: &str) -> Result<usize, String> {
@@ -340,6 +388,17 @@ mod tests {
         let cli = Cli::parse(["--trace=s9.json"]).unwrap();
         assert_eq!(cli.trace, Some(PathBuf::from("s9.json")));
         assert!(Cli::parse(["--trace"]).is_err());
+    }
+
+    #[test]
+    fn stem_suffix_keeps_the_directory_and_extension() {
+        let sweep = |path: &str| with_stem_suffix(Path::new(path), "_sweep");
+        assert_eq!(sweep("/tmp/fq.csv"), PathBuf::from("/tmp/fq_sweep.csv"));
+        assert_eq!(sweep("out"), PathBuf::from("out_sweep"));
+        assert_eq!(
+            with_stem_suffix(Path::new("a/b.csv"), ""),
+            PathBuf::from("a/b.csv")
+        );
     }
 
     #[test]

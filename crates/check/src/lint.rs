@@ -12,9 +12,8 @@
 //!   run, and an unexpected FSM event must drop the session, not the
 //!   process.
 //! * `no-instant` — `Instant::now()` belongs to `telemetry` (the
-//!   dual-clock tracer) and `bench` (the harness); anywhere else it
-//!   is an unattributed clock read the paper's methodology cannot
-//!   account for.
+//!   dual-clock tracer); anywhere else it is an unattributed clock
+//!   read the paper's methodology cannot account for.
 //! * `no-std-hashmap` — `rib` hot paths hash `Prefix` keys millions
 //!   of times per run; `std::collections::HashMap`'s SipHash costs
 //!   ~2× `fxhash` there, so the crate-local `FxHashMap` is mandatory.
@@ -63,7 +62,7 @@ const HOT_PATH_FILES: [&str; 5] = [
 ];
 
 /// Crates allowed to read the host clock.
-const CLOCK_CRATES: [&str; 2] = ["telemetry", "bench"];
+const CLOCK_CRATES: [&str; 1] = ["telemetry"];
 
 /// One unwaived lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -343,7 +342,7 @@ fn scan_file(rel: &str, source: &str, allowlist: &Allowlist, report: &mut LintRe
                 rel,
                 line_no,
                 original,
-                "host clock read outside `telemetry`/`bench` (use the telemetry tracer)".to_owned(),
+                "host clock read outside `telemetry` (use the telemetry tracer)".to_owned(),
             );
         }
         if hashmap_rule && line.contains("collections::HashMap") {
@@ -640,11 +639,11 @@ mod tests {
     }
 
     #[test]
-    fn instant_rule_spares_telemetry_and_bench() {
+    fn instant_rule_spares_only_telemetry() {
         let allow = Allowlist::empty();
         for (path, clean) in [
             ("crates/telemetry/src/span.rs", true),
-            ("crates/bench/src/cli.rs", true),
+            ("crates/bench/src/cli.rs", false),
             ("crates/rib/src/engine.rs", false),
         ] {
             let mut report = LintReport::default();

@@ -43,7 +43,7 @@ pub struct ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// Full-size experiments, as the bench binaries run them.
+    /// Full-size experiments, as the `bgpbench` subcommands run them.
     pub fn full() -> Self {
         ExperimentConfig {
             small_prefixes: 2000,
@@ -66,7 +66,7 @@ impl ExperimentConfig {
     /// The same config resized to `prefixes` large-packet prefixes.
     /// Small-packet scenarios scale along at a fifth of the size
     /// (matching the full-size 2000:10 000 ratio), never below one
-    /// prefix — the sizing behind the bench binaries' `--prefixes`
+    /// prefix — the sizing behind the `bgpbench` binary's `--prefixes`
     /// flag.
     pub fn with_prefixes(self, prefixes: usize) -> Self {
         ExperimentConfig {

@@ -2,146 +2,22 @@
 
 use std::net::Ipv4Addr;
 
-use bgpbench_models::{PlatformSpec, SimRouter};
-use bgpbench_speaker::{workload, SpeakerScript, WorkloadSpec};
+use bgpbench_models::SimRouter;
+use bgpbench_speaker::{workload, SpeakerScript};
 use bgpbench_telemetry::{self as telemetry, EventKind, SpanId};
 use bgpbench_wire::Asn;
 
 use crate::faults::FaultPlan;
 use crate::plan::{self, Action, Step};
-use crate::policy::PolicyProfile;
+use crate::runner::CellSpec;
 use crate::scenario::{BgpOperation, Scenario};
-use crate::topology::{ConvergenceRun, Topology, TopologyConfig};
+use crate::topology::{ConvergenceRun, Topology};
 
 const SPEAKER1_HOP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 const SPEAKER2_HOP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
 /// The AS and next hop each of the simulated router's two speakers
 /// announces with (they match the peers [`SimRouter::new`] attaches).
 const SPEAKERS: [(Asn, Ipv4Addr); 2] = [(Asn(65001), SPEAKER1_HOP), (Asn(65002), SPEAKER2_HOP)];
-
-/// Parameters of one scenario run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioConfig {
-    /// Routing-table size (prefixes injected and measured). Workload
-    /// sources that replay a fixed dump may yield fewer prefixes; the
-    /// harness then sizes its phase targets from what the source
-    /// actually produced.
-    pub prefixes: usize,
-    /// Workload seed (same seed → identical run).
-    pub seed: u64,
-    /// Cross-traffic offered load during the *timed* phase, in Mbps.
-    pub cross_traffic_mbps: f64,
-    /// Topology and fault sizing for session-churn scenarios (S9–S12);
-    /// ignored by the paper's eight.
-    pub churn: ChurnConfig,
-    /// Policy profile override: `Some` attaches that profile's
-    /// route-maps to the router under test regardless of scenario
-    /// (policy-on/off A-B runs); `None` uses the scenario's own
-    /// profile, if any.
-    pub policy: Option<PolicyProfile>,
-    /// RIB shard count on the router under test (host-side
-    /// parallelism). Results are bit-identical for every value; 1 (the
-    /// default) is the single-threaded engine.
-    pub rib_shards: usize,
-    /// Workload-source override: `Some` drives the run from that
-    /// source (synthetic classic/modern table or an MRT replay)
-    /// regardless of scenario; `None` uses the scenario's registered
-    /// workload kind (classic for S1–S15, modern for S16–S18).
-    pub workload: Option<WorkloadSpec>,
-}
-
-impl Default for ScenarioConfig {
-    fn default() -> Self {
-        ScenarioConfig {
-            prefixes: 4000,
-            seed: 2007,
-            cross_traffic_mbps: 0.0,
-            churn: ChurnConfig::default(),
-            policy: None,
-            rib_shards: 1,
-            workload: None,
-        }
-    }
-}
-
-impl ScenarioConfig {
-    /// A fluent builder over the default configuration, mirroring
-    /// [`crate::CellSpec`]'s API:
-    ///
-    /// ```
-    /// use bgpbench_core::ScenarioConfig;
-    ///
-    /// let config = ScenarioConfig::builder()
-    ///     .prefixes(1000)
-    ///     .seed(7)
-    ///     .rib_shards(4)
-    ///     .build();
-    /// assert_eq!(config.prefixes, 1000);
-    /// assert_eq!(config.rib_shards, 4);
-    /// ```
-    pub fn builder() -> ScenarioConfigBuilder {
-        ScenarioConfigBuilder {
-            config: ScenarioConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`ScenarioConfig`]; see [`ScenarioConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct ScenarioConfigBuilder {
-    config: ScenarioConfig,
-}
-
-impl ScenarioConfigBuilder {
-    /// Sets the routing-table size (prefixes injected and measured).
-    pub fn prefixes(mut self, prefixes: usize) -> Self {
-        self.config.prefixes = prefixes;
-        self
-    }
-
-    /// Sets the workload seed (same seed → identical run).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Sets the cross-traffic offered load during the timed phase.
-    pub fn cross_traffic(mut self, mbps: f64) -> Self {
-        self.config.cross_traffic_mbps = mbps;
-        self
-    }
-
-    /// Sets the churn knobs for session-churn scenarios (S9–S12).
-    pub fn churn(mut self, churn: ChurnConfig) -> Self {
-        self.config.churn = churn;
-        self
-    }
-
-    /// Attaches a policy profile's route-maps to the router under
-    /// test, overriding the scenario's own profile.
-    pub fn policy(mut self, profile: PolicyProfile) -> Self {
-        self.config.policy = Some(profile);
-        self
-    }
-
-    /// Sets the RIB shard count on the router under test.
-    pub fn rib_shards(mut self, shards: usize) -> Self {
-        self.config.rib_shards = shards;
-        self
-    }
-
-    /// Drives the run from the given workload source instead of the
-    /// scenario's registered kind.
-    pub fn workload(mut self, spec: WorkloadSpec) -> Self {
-        self.config.workload = Some(spec);
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> ScenarioConfig {
-        self.config
-    }
-}
 
 /// Session-churn knobs of a scenario run: topology size and fault
 /// timing. Hold times are in simnet ticks and deliberately short next
@@ -245,147 +121,59 @@ impl RepeatedResult {
     }
 }
 
-/// Runs a scenario `repetitions` times with distinct workload seeds
-/// (`config.seed`, `config.seed + 1`, …) and collects the results.
-///
-/// # Panics
-///
-/// Panics if `repetitions` is zero or `config.prefixes` is zero.
-pub fn run_scenario_repeated(
-    platform: &PlatformSpec,
-    scenario: Scenario,
-    config: &ScenarioConfig,
-    repetitions: usize,
-) -> RepeatedResult {
-    assert!(repetitions > 0, "need at least one repetition");
-    let runs = (0..repetitions)
-        .map(|rep| {
-            run_scenario(
-                platform,
-                scenario,
-                &ScenarioConfig {
-                    seed: config.seed + rep as u64,
-                    ..config.clone()
-                },
-            )
-        })
-        .collect();
-    RepeatedResult { runs }
-}
-
-/// Runs one benchmark scenario on a simulated platform, timing only
-/// the phase the scenario defines (paper §III.D: "only the appropriate
-/// phase of the benchmark scenario is considered").
+/// Runs one benchmark cell on its simulated platform, timing only the
+/// phase the scenario defines (paper §III.D: "only the appropriate
+/// phase of the benchmark scenario is considered"), and hands back the
+/// router for post-run inspection. Session-churn scenarios go through
+/// the topology engine and report its convergence run flattened.
 ///
 /// Setup phases always use large packets — they are not measured, and
 /// the paper's methodology only constrains the timed phase's
 /// packetization.
-///
-/// # Panics
-///
-/// Panics if `config.prefixes` is zero or an unmeasured setup phase
-/// fails to complete within the safety limit.
-pub fn run_scenario(
-    platform: &PlatformSpec,
-    scenario: Scenario,
-    config: &ScenarioConfig,
-) -> ScenarioResult {
-    run_scenario_with_router(platform, scenario, config).0
-}
-
-/// Runs a scenario and hands back the router for post-run inspection
-/// (figure experiments need the recorder and phase marks).
-pub(crate) fn run_scenario_with_router(
-    platform: &PlatformSpec,
-    scenario: Scenario,
-    config: &ScenarioConfig,
-) -> (ScenarioResult, SimRouter) {
-    run_scenario_with_packetization(platform, scenario, config, None)
-}
-
-/// Like [`run_scenario_with_router`], but with the timed phase's
-/// prefixes-per-UPDATE overridden (the packet-size extension sweeps
-/// measure packetizations between the paper's small/large endpoints).
-pub(crate) fn run_scenario_with_packetization(
-    platform: &PlatformSpec,
-    scenario: Scenario,
-    config: &ScenarioConfig,
-    prefixes_per_update: Option<usize>,
-) -> (ScenarioResult, SimRouter) {
-    assert!(config.prefixes > 0, "scenario needs at least one prefix");
-    if scenario.operation() == BgpOperation::SessionChurn {
-        let (run, router) = run_churn_with_router(platform, scenario, config, prefixes_per_update);
+pub(crate) fn run_cell(cell: &CellSpec) -> (ScenarioResult, SimRouter) {
+    assert!(cell.prefixes > 0, "scenario needs at least one prefix");
+    if cell.scenario.operation() == BgpOperation::SessionChurn {
+        let (run, router) = run_churn(cell);
         let result = ScenarioResult {
             scenario: run.scenario,
             platform: run.platform,
             transactions: run.outcome.transactions,
             elapsed_secs: router.now_secs(),
-            cross_traffic_mbps: config.cross_traffic_mbps,
+            cross_traffic_mbps: cell.cross_traffic_mbps,
             completed: run.outcome.converged,
             virtual_ticks: router.ticks_elapsed(),
         };
         return (result, router);
     }
-    let mut router = SimRouter::new(platform);
-    let result = drive(&mut router, platform, scenario, config, prefixes_per_update);
+    let mut router = SimRouter::new(&cell.platform);
+    let result = drive(&mut router, cell);
     (result, router)
 }
 
-/// Safety limit on a churn run, in ticks (10 simulated minutes).
-const CHURN_LIMIT_TICKS: u64 = 600_000;
-
-/// Runs a session-churn scenario (S9–S12) through the topology engine
-/// and returns its full convergence row.
-///
-/// # Panics
-///
-/// Panics if `scenario` is not a fault scenario or `config.prefixes`
-/// is zero.
-pub fn run_churn(
-    platform: &PlatformSpec,
-    scenario: Scenario,
-    config: &ScenarioConfig,
-) -> ConvergenceRun {
-    run_churn_with_router(platform, scenario, config, None).0
-}
-
-pub(crate) fn run_churn_with_router(
-    platform: &PlatformSpec,
-    scenario: Scenario,
-    config: &ScenarioConfig,
-    prefixes_per_update: Option<usize>,
-) -> (ConvergenceRun, SimRouter) {
+/// Runs a session-churn cell (S9–S12) through the topology engine and
+/// returns its full convergence row.
+pub(crate) fn run_churn(cell: &CellSpec) -> (ConvergenceRun, SimRouter) {
+    let scenario = cell.scenario;
     let churn = scenario
         .churn()
         .unwrap_or_else(|| panic!("{scenario} is not a session-churn scenario"));
-    let topology_config = TopologyConfig {
-        peers: config.churn.peers,
-        prefixes: config.prefixes,
-        seed: config.seed,
-        hold_ticks: config.churn.hold_ticks,
-        prefixes_per_update: prefixes_per_update
-            .unwrap_or_else(|| scenario.packet_size().prefixes_per_update()),
-        limit_ticks: CHURN_LIMIT_TICKS,
-        rib_shards: config.rib_shards,
-    };
     let plan = FaultPlan::for_churn(
         churn,
-        config.seed,
-        topology_config.peers,
-        config.churn.flap_interval_ticks,
-        topology_config.hold_ticks,
+        cell.seed,
+        cell.churn.peers,
+        cell.churn.flap_interval_ticks,
+        cell.churn.hold_ticks,
     );
-    let mut topology = Topology::new(platform, &topology_config, plan);
-    topology.set_cross_traffic_mbps(config.cross_traffic_mbps);
+    let mut topology = Topology::new(cell, plan);
     let _span = telemetry::span(SpanId::Phase1);
     let outcome = topology.run_to_convergence();
     let run = ConvergenceRun {
         scenario,
-        platform: platform.name,
-        peers: topology_config.peers,
-        prefixes: topology_config.prefixes,
-        seed: topology_config.seed,
-        flap_interval_ticks: config.churn.flap_interval_ticks,
+        platform: cell.platform.name,
+        peers: cell.churn.peers,
+        prefixes: cell.prefixes,
+        seed: cell.seed,
+        flap_interval_ticks: cell.churn.flap_interval_ticks,
         outcome,
     };
     (run, topology.into_router())
@@ -394,39 +182,33 @@ pub(crate) fn run_churn_with_router(
 /// The simulated executor of a scenario's [`plan::phase_plan`]: each
 /// step loads a speaker script or queues an export and runs the router
 /// until the step's transactions are through.
-fn drive(
-    router: &mut SimRouter,
-    platform: &PlatformSpec,
-    scenario: Scenario,
-    config: &ScenarioConfig,
-    prefixes_per_update: Option<usize>,
-) -> ScenarioResult {
-    // The workload source: a config override wins; otherwise the
+fn drive(router: &mut SimRouter, cell: &CellSpec) -> ScenarioResult {
+    let scenario = cell.scenario;
+    // The workload source: a cell override wins; otherwise the
     // scenario's registered kind picks between the 2007-era synthetic
     // generator (S1–S15) and the modern Internet generator (S16–S18).
-    let workload_spec = config
+    let workload_spec = cell
         .workload
         .clone()
         .unwrap_or_else(|| scenario.workload().spec());
     let mut source = workload_spec
-        .source(config.seed)
+        .source(cell.seed)
         .unwrap_or_else(|e| panic!("workload source failed to load: {e}"));
     // Replay sources may hold fewer prefixes than requested; phase
     // targets follow what the source actually produced.
-    let table = source.table(config.prefixes);
+    let table = source.table(cell.prefixes);
     assert!(
         !table.is_empty(),
         "workload source {} produced an empty table",
         source.describe()
     );
-    let pkt = prefixes_per_update.unwrap_or_else(|| scenario.packet_size().prefixes_per_update());
     // Shard count must be set while the RIB is still empty.
-    router.set_rib_shards(config.rib_shards);
-    router.set_cross_traffic_mbps(config.cross_traffic_mbps);
-    // A config override beats the scenario's own profile; both absent
+    router.set_rib_shards(cell.rib_shards);
+    router.set_cross_traffic_mbps(cell.cross_traffic_mbps);
+    // A cell override beats the scenario's own profile; both absent
     // leaves the engine's default permit-all maps in place, which is
     // the paper's unpoliced configuration.
-    if let Some(profile) = config.policy.or_else(|| scenario.policy()) {
+    if let Some(profile) = cell.policy.or_else(|| scenario.policy()) {
         router.set_import_policy(profile.import_map());
         router.set_export_policy(profile.export_map());
     }
@@ -463,9 +245,9 @@ fn drive(
             }
         }
     };
-    let steps = plan::phase_plan(scenario, config.seed, pkt, SPEAKERS);
-    // Churn scenarios have no phases; `run_scenario_with_packetization`
-    // routes them through the topology engine.
+    let steps = plan::phase_plan(scenario, cell.seed, cell.prefixes_per_update(), SPEAKERS);
+    // Churn scenarios have no phases; `run_cell` routes them through
+    // the topology engine.
     let (timed, setup) = steps.split_last().expect("a phased scenario");
     for step in setup {
         run_step(step).1.expect("setup phase must complete");
@@ -473,10 +255,10 @@ fn drive(
     let (transactions, elapsed) = run_step(timed);
     ScenarioResult {
         scenario,
-        platform: platform.name,
+        platform: cell.platform.name,
         transactions,
         elapsed_secs: elapsed.unwrap_or(PHASE_LIMIT_SECS),
-        cross_traffic_mbps: config.cross_traffic_mbps,
+        cross_traffic_mbps: cell.cross_traffic_mbps,
         completed: elapsed.is_some(),
         virtual_ticks: router.ticks_elapsed(),
     }
@@ -504,15 +286,13 @@ fn begin_phase(router: &mut SimRouter, phase: u64) -> Option<telemetry::SpanGuar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpbench_models::{pentium3, xeon};
+    use bgpbench_models::{pentium3, xeon, PlatformSpec};
     use bgpbench_speaker::TableGenerator;
 
-    fn quick(prefixes: usize) -> ScenarioConfig {
-        ScenarioConfig {
-            prefixes,
-            seed: 1,
-            ..ScenarioConfig::default()
-        }
+    use crate::policy::PolicyProfile;
+
+    fn quick(scenario: Scenario, platform: PlatformSpec, prefixes: usize) -> CellSpec {
+        CellSpec::new(scenario, platform).prefixes(prefixes).seed(1)
     }
 
     #[test]
@@ -522,7 +302,7 @@ mod tests {
                 crate::PacketSize::Small => 150,
                 crate::PacketSize::Large => 1000,
             };
-            let result = run_scenario(&xeon(), scenario, &quick(prefixes));
+            let result = quick(scenario, xeon(), prefixes).run();
             assert!(result.completed, "{scenario} timed out");
             assert!(result.tps() > 0.0, "{scenario} produced zero tps");
         }
@@ -531,7 +311,7 @@ mod tests {
     #[test]
     fn policy_scenarios_complete_on_the_xeon() {
         for scenario in Scenario::POLICY {
-            let result = run_scenario(&xeon(), scenario, &quick(1000));
+            let result = quick(scenario, xeon(), 1000).run();
             assert!(result.completed, "{scenario} timed out");
             assert!(result.tps() > 0.0, "{scenario} produced zero tps");
         }
@@ -543,10 +323,9 @@ mod tests {
         // routes in 0.0.0.0/1 — about half the synthetic table. The
         // rejected half must keep Speaker 1's next hop; the permitted
         // half flips to Speaker 2.
-        let config = quick(1000);
-        let (result, router) = run_scenario_with_router(&xeon(), Scenario::S13, &config);
+        let (result, router) = quick(Scenario::S13, xeon(), 1000).run_with_router();
         assert!(result.completed);
-        let table = TableGenerator::new(config.seed).generate(config.prefixes);
+        let table = TableGenerator::new(1).generate(1000);
         let from_speaker2 = table
             .iter()
             .filter(|p| router.fib_gateway(p) == Some(SPEAKER2_HOP))
@@ -555,13 +334,13 @@ mod tests {
             .iter()
             .filter(|p| router.fib_gateway(p) == Some(SPEAKER1_HOP))
             .count();
-        assert_eq!(from_speaker1 + from_speaker2, config.prefixes);
+        assert_eq!(from_speaker1 + from_speaker2, 1000);
         assert!(
             (300..=700).contains(&from_speaker1),
             "filter should hold ~half the table on Speaker 1: {from_speaker1}"
         );
         // The unpoliced variant hands the whole table to Speaker 2.
-        let (_, unpoliced) = run_scenario_with_router(&xeon(), Scenario::S8, &config);
+        let (_, unpoliced) = quick(Scenario::S8, xeon(), 1000).run_with_router();
         let still_speaker1 = table
             .iter()
             .filter(|p| unpoliced.fib_gateway(p) == Some(SPEAKER1_HOP))
@@ -575,11 +354,10 @@ mod tests {
         // round 2 (MED 0) drops them back to the router-ID tie-break,
         // which Speaker 1 wins — so the final FIB points at Speaker 1
         // again even though every round rewrote it.
-        let config = quick(500);
-        let (result, router) = run_scenario_with_router(&xeon(), Scenario::S15, &config);
+        let (result, router) = quick(Scenario::S15, xeon(), 500).run_with_router();
         assert!(result.completed);
-        assert_eq!(result.transactions, 2 * config.prefixes as u64);
-        let table = TableGenerator::new(config.seed).generate(config.prefixes);
+        assert_eq!(result.transactions, 2 * 500);
+        let table = TableGenerator::new(1).generate(500);
         assert!(table
             .iter()
             .all(|p| router.fib_gateway(p) == Some(SPEAKER1_HOP)));
@@ -590,21 +368,14 @@ mod tests {
         // S14 times the same Phase-2 export as S6, but through a
         // one-entry export map — on the process-model platforms the
         // extra evaluation pass must cost measurable time.
-        let config = quick(1000);
-        let s14 = run_scenario(&xeon(), Scenario::S14, &config);
+        let cell = quick(Scenario::S14, xeon(), 1000);
+        let s14 = cell.run();
         assert!(s14.completed);
         assert_eq!(s14.transactions, 1000);
-        let baseline = run_scenario(
-            &xeon(),
-            Scenario::S14,
-            &ScenarioConfig {
-                // FilterChurn's export side is permit-all, and its
-                // import filter never matches Speaker 1's routes, so
-                // this override isolates the export-map cost.
-                policy: Some(PolicyProfile::FilterChurn),
-                ..config
-            },
-        );
+        // FilterChurn's export side is permit-all, and its import
+        // filter never matches Speaker 1's routes, so this override
+        // isolates the export-map cost.
+        let baseline = cell.policy(PolicyProfile::FilterChurn).run();
         assert!(
             s14.elapsed_secs > baseline.elapsed_secs,
             "export map must add cost: {} vs {}",
@@ -614,19 +385,13 @@ mod tests {
     }
 
     #[test]
-    fn config_policy_override_beats_the_scenario_profile() {
+    fn cell_policy_override_beats_the_scenario_profile() {
         // S8 with the FilterChurn profile attached must match S13
         // (same operation, same packetization, same maps).
-        let config = quick(800);
-        let s13 = run_scenario(&xeon(), Scenario::S13, &config);
-        let overridden = run_scenario(
-            &xeon(),
-            Scenario::S8,
-            &ScenarioConfig {
-                policy: Some(PolicyProfile::FilterChurn),
-                ..config
-            },
-        );
+        let s13 = quick(Scenario::S13, xeon(), 800).run();
+        let overridden = quick(Scenario::S8, xeon(), 800)
+            .policy(PolicyProfile::FilterChurn)
+            .run();
         assert_eq!(s13.transactions, overridden.transactions);
         assert!((s13.elapsed_secs - overridden.elapsed_secs).abs() < 1e-9);
         assert_eq!(s13.virtual_ticks, overridden.virtual_ticks);
@@ -634,38 +399,26 @@ mod tests {
 
     #[test]
     fn no_change_scenarios_are_fastest_on_pentium3() {
-        let p3 = pentium3();
-        let s2 = run_scenario(&p3, Scenario::S2, &quick(500));
-        let s6 = run_scenario(&p3, Scenario::S6, &quick(500));
-        let s8 = run_scenario(&p3, Scenario::S8, &quick(500));
+        let s2 = quick(Scenario::S2, pentium3(), 500).run();
+        let s6 = quick(Scenario::S6, pentium3(), 500).run();
+        let s8 = quick(Scenario::S8, pentium3(), 500).run();
         assert!(s6.tps() > s2.tps(), "s6 {} vs s2 {}", s6.tps(), s2.tps());
         assert!(s2.tps() > s8.tps(), "s2 {} vs s8 {}", s2.tps(), s8.tps());
     }
 
     #[test]
-    fn result_and_router_variant_agree() {
-        let config = quick(300);
-        let direct = run_scenario(&pentium3(), Scenario::S2, &config);
-        let (with_router, router) = run_scenario_with_router(&pentium3(), Scenario::S2, &config);
-        assert_eq!(direct.transactions, with_router.transactions);
-        assert!((direct.elapsed_secs - with_router.elapsed_secs).abs() < 1e-9);
-        // The router retains final state for inspection.
+    fn the_router_retains_final_state_for_inspection() {
+        let (result, router) = quick(Scenario::S2, pentium3(), 300).run_with_router();
+        assert_eq!(result.transactions, 300);
         assert_eq!(router.fib_len(), 300);
         assert!(router.recorder().mark_time("phase 1").is_some());
     }
 
     #[test]
     fn cross_traffic_reduces_tps() {
-        let config = quick(500);
-        let idle = run_scenario(&pentium3(), Scenario::S2, &config);
-        let loaded = run_scenario(
-            &pentium3(),
-            Scenario::S2,
-            &ScenarioConfig {
-                cross_traffic_mbps: 300.0,
-                ..config
-            },
-        );
+        let cell = quick(Scenario::S2, pentium3(), 500);
+        let idle = cell.run();
+        let loaded = cell.cross_traffic(300.0).run();
         assert!(
             loaded.tps() < idle.tps() * 0.95,
             "cross traffic must reduce tps: {} vs {}",
@@ -677,14 +430,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one prefix")]
     fn zero_prefixes_panics() {
-        let _ = run_scenario(&xeon(), Scenario::S1, &quick(0));
+        let _ = quick(Scenario::S1, xeon(), 0).run();
     }
 
     #[test]
     fn repeated_runs_are_tightly_clustered() {
         // The benchmark's repeatability claim: across five different
         // synthetic tables, the measured rate varies by under 5 %.
-        let repeated = run_scenario_repeated(&pentium3(), Scenario::S2, &quick(500), 5);
+        let repeated = quick(Scenario::S2, pentium3(), 500).run_repeated(5);
         assert_eq!(repeated.runs.len(), 5);
         assert!(repeated.mean_tps() > 0.0);
         assert!(repeated.min_tps() <= repeated.mean_tps());
@@ -699,6 +452,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one repetition")]
     fn zero_repetitions_panics() {
-        let _ = run_scenario_repeated(&xeon(), Scenario::S2, &quick(10), 0);
+        let _ = quick(Scenario::S2, xeon(), 10).run_repeated(0);
     }
 }

@@ -23,8 +23,10 @@
 //!   S13–S15 ([`Scenario::POLICY`], see [`PolicyProfile`]), and the
 //!   Internet-scale full-table scenarios S16–S18
 //!   ([`Scenario::FULLTABLE`], driven by a [`WorkloadSpec`] source);
-//! * [`CellSpec`] — one scenario × platform cell as data, with a
-//!   builder for sizing, seed, cross-traffic, and churn knobs;
+//! * [`CellSpec`] — the one run description: a scenario × platform
+//!   cell as data, with a builder for sizing, seed, cross-traffic,
+//!   policy, workload and churn knobs, and the `run*` methods that
+//!   execute it;
 //! * [`Topology`] — the multi-peer session engine: N speakers, a
 //!   per-peer RFC 4271 FSM, and a seeded [`FaultPlan`] injected at the
 //!   simnet layer (see [`topology`] and [`faults`]);
@@ -43,11 +45,10 @@
 //! # Examples
 //!
 //! ```
-//! use bgpbench_core::{run_scenario, Scenario, ScenarioConfig};
+//! use bgpbench_core::{CellSpec, Scenario};
 //! use bgpbench_models::xeon;
 //!
-//! let config = ScenarioConfig { prefixes: 500, seed: 1, ..ScenarioConfig::default() };
-//! let result = run_scenario(&xeon(), Scenario::S2, &config);
+//! let result = CellSpec::new(Scenario::S2, xeon()).prefixes(500).seed(1).run();
 //! assert_eq!(result.transactions, 500);
 //! assert!(result.tps() > 100.0);
 //! ```
@@ -70,10 +71,7 @@ pub mod topology;
 pub use bgpbench_speaker::{BurstSpec, WorkloadError, WorkloadSource, WorkloadSpec};
 pub use breakdown::{fig34_breakdown, BreakdownRow, Fig34Breakdown};
 pub use faults::{FaultAction, FaultEvent, FaultPlan};
-pub use harness::{
-    run_churn, run_scenario, run_scenario_repeated, ChurnConfig, RepeatedResult, ScenarioConfig,
-    ScenarioConfigBuilder, ScenarioResult,
-};
+pub use harness::{ChurnConfig, RepeatedResult, ScenarioResult};
 pub use policy::PolicyProfile;
 pub use report::{Render, StaticReport};
 pub use runner::{
@@ -83,5 +81,5 @@ pub use runner::{
 pub use scenario::{BgpOperation, ChurnKind, PacketSize, Scenario, ScenarioSpec, WorkloadKind};
 pub use topology::{
     convergence_report, flap_storm_figure, ConvergenceOutcome, ConvergenceReport, ConvergenceRun,
-    Topology, TopologyConfig,
+    Topology,
 };

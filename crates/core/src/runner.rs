@@ -48,9 +48,7 @@ use bgpbench_telemetry::{self as telemetry, TraceConfig, TraceEventId};
 use crossbeam::channel;
 
 use crate::experiments::ExperimentConfig;
-use crate::harness::{
-    run_scenario_with_packetization, ChurnConfig, ScenarioConfig, ScenarioResult,
-};
+use crate::harness::{self, ChurnConfig, RepeatedResult, ScenarioResult};
 use crate::policy::PolicyProfile;
 use crate::scenario::Scenario;
 use bgpbench_models::SimRouter;
@@ -74,17 +72,16 @@ use bgpbench_speaker::WorkloadSpec;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
-    scenario: Scenario,
-    platform: PlatformSpec,
-    prefixes: usize,
-    seed: u64,
-    cross_traffic_mbps: f64,
+    pub(crate) scenario: Scenario,
+    pub(crate) platform: PlatformSpec,
+    pub(crate) prefixes: usize,
+    pub(crate) seed: u64,
+    pub(crate) cross_traffic_mbps: f64,
     prefixes_per_update: Option<usize>,
-    churn: ChurnConfig,
-    policy: Option<PolicyProfile>,
-    rib_shards: usize,
-    workload: Option<WorkloadSpec>,
-    trace: Option<TraceConfig>,
+    pub(crate) churn: ChurnConfig,
+    pub(crate) policy: Option<PolicyProfile>,
+    pub(crate) rib_shards: usize,
+    pub(crate) workload: Option<WorkloadSpec>,
 }
 
 impl CellSpec {
@@ -103,7 +100,6 @@ impl CellSpec {
             policy: None,
             rib_shards: 1,
             workload: None,
-            trace: None,
         }
     }
 
@@ -156,14 +152,6 @@ impl CellSpec {
     /// single-threaded engine.
     pub fn rib_shards(mut self, shards: usize) -> Self {
         self.rib_shards = shards;
-        self
-    }
-
-    /// Arms the flight recorder for this cell: tracing is enabled
-    /// (idempotently) when the cell runs, and the run opens with a
-    /// `grid.cell_start` instant carrying the seed and table size.
-    pub fn trace(mut self, config: TraceConfig) -> Self {
-        self.trace = Some(config);
         self
     }
 
@@ -221,17 +209,11 @@ impl CellSpec {
         self.churn
     }
 
-    /// The harness configuration this cell resolves to.
-    pub fn scenario_config(&self) -> ScenarioConfig {
-        ScenarioConfig {
-            prefixes: self.prefixes,
-            seed: self.seed,
-            cross_traffic_mbps: self.cross_traffic_mbps,
-            churn: self.churn,
-            policy: self.policy,
-            rib_shards: self.rib_shards,
-            workload: self.workload.clone(),
-        }
+    /// Prefixes per UPDATE in the timed phase: the override, or the
+    /// scenario's own packet size.
+    pub(crate) fn prefixes_per_update(&self) -> usize {
+        self.prefixes_per_update
+            .unwrap_or_else(|| self.scenario.packet_size().prefixes_per_update())
     }
 
     /// Runs the cell on the calling thread.
@@ -248,13 +230,8 @@ impl CellSpec {
     /// Runs the cell and hands back the simulated router for post-run
     /// inspection (figure experiments read its recorder).
     pub fn run_with_router(&self) -> (ScenarioResult, SimRouter) {
-        self.arm_trace();
-        run_scenario_with_packetization(
-            &self.platform,
-            self.scenario,
-            &self.scenario_config(),
-            self.prefixes_per_update,
-        )
+        self.trace_start();
+        harness::run_cell(self)
     }
 
     /// Runs a session-churn cell (S9–S12) through the topology engine
@@ -265,15 +242,29 @@ impl CellSpec {
     ///
     /// Panics if the cell's scenario is not a fault scenario.
     pub fn run_churn(&self) -> crate::topology::ConvergenceRun {
-        self.arm_trace();
-        crate::harness::run_churn(&self.platform, self.scenario, &self.scenario_config())
+        self.trace_start();
+        harness::run_churn(self).0
     }
 
-    fn arm_trace(&self) {
-        if let Some(config) = &self.trace {
-            telemetry::enable_trace(config);
-            telemetry::trace_instant(TraceEventId::CellStart, self.seed, self.prefixes as u64);
-        }
+    /// Runs the cell `repetitions` times with distinct workload seeds
+    /// (the cell's seed, seed + 1, …) and collects the results — the
+    /// benchmark's repeatability check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `repetitions` is zero or the table size is zero.
+    pub fn run_repeated(&self, repetitions: usize) -> RepeatedResult {
+        assert!(repetitions > 0, "need at least one repetition");
+        let runs = (0..repetitions as u64)
+            .map(|rep| self.clone().seed(self.seed + rep).run())
+            .collect();
+        RepeatedResult { runs }
+    }
+
+    /// Opens the cell on the flight-recorder timeline with its seed
+    /// and table size (a no-op while tracing is off).
+    fn trace_start(&self) {
+        telemetry::trace_instant(TraceEventId::CellStart, self.seed, self.prefixes as u64);
     }
 
     fn label(&self) -> String {
@@ -416,7 +407,7 @@ pub struct NullObserver;
 impl RunObserver for NullObserver {}
 
 /// An observer that prints one line per completed cell (and a summary
-/// line) to stderr — what the bench binaries use.
+/// line) to stderr — what the `bgpbench` binary uses.
 #[derive(Debug, Default)]
 pub struct StderrProgress {
     total: usize,
@@ -764,18 +755,10 @@ mod tests {
         assert_eq!(cell.prefix_count(), 250);
         assert_eq!(cell.cell_seed(), 11);
         assert_eq!(cell.cross_traffic_mbps(), 120.0);
-        let config = cell.scenario_config();
-        assert_eq!(config.prefixes, 250);
-        assert_eq!(config.seed, 11);
-        assert_eq!(config.cross_traffic_mbps, 120.0);
-    }
-
-    #[test]
-    fn cell_run_matches_direct_harness_call() {
-        let cell = CellSpec::new(Scenario::S2, xeon()).prefixes(400).seed(3);
-        let direct = crate::harness::run_scenario(&xeon(), Scenario::S2, &cell.scenario_config());
-        let via_cell = cell.run();
-        assert_eq!(direct, via_cell);
+        assert_eq!(cell.prefixes_per_update(), 25);
+        // Without the override the scenario's packet size applies.
+        let plain = CellSpec::new(Scenario::S5, pentium3());
+        assert_eq!(plain.prefixes_per_update(), 1);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub enum BgpOperation {
 }
 
 /// Which workload source family a scenario runs by default
-/// ([`crate::ScenarioConfig`] can override it with a concrete
+/// ([`crate::CellSpec::workload`] can override it with a concrete
 /// [`bgpbench_speaker::WorkloadSpec`], e.g. to point a replay scenario
 /// at an MRT dump).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -34,41 +34,8 @@ use crate::report::Render;
 use crate::runner::{CellSpec, GridRunner};
 use crate::scenario::Scenario;
 
-/// Sizing of a churn run's topology and timers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TopologyConfig {
-    /// Number of attached peers.
-    pub peers: usize,
-    /// Routing-table size each peer advertises.
-    pub prefixes: usize,
-    /// Workload seed (tables, fault plans).
-    pub seed: u64,
-    /// Hold time in simnet ticks (keepalive is derived as hold/3).
-    /// Deliberately short next to RFC 4271's 90 s so expiry cascades
-    /// fit in simulated seconds.
-    pub hold_ticks: u64,
-    /// Prefixes per UPDATE in the peers' scripts.
-    pub prefixes_per_update: usize,
-    /// Safety limit on the whole run, in ticks.
-    pub limit_ticks: u64,
-    /// RIB shard count on the router under test (host-side
-    /// parallelism; results are bit-identical for every value).
-    pub rib_shards: usize,
-}
-
-impl Default for TopologyConfig {
-    fn default() -> Self {
-        TopologyConfig {
-            peers: 4,
-            prefixes: 1000,
-            seed: 2007,
-            hold_ticks: 900,
-            prefixes_per_update: workload::LARGE_PACKET_PREFIXES,
-            limit_ticks: 600_000,
-            rib_shards: 1,
-        }
-    }
-}
+/// Safety limit on a churn run, in ticks (10 simulated minutes).
+const LIMIT_TICKS: u64 = 600_000;
 
 /// What a churn run measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,27 +77,30 @@ pub struct Topology {
     router: SimRouter,
     peers: Vec<PeerRuntime>,
     plan: FaultPlan,
-    config: TopologyConfig,
+    /// Table size each peer advertises (the duplicate-update baseline).
+    prefixes: usize,
     purged: u64,
 }
 
 impl Topology {
-    /// Builds the topology: `config.peers` speakers (AS 65001+i at
-    /// 10.0.0.2+i), each loaded with a full-table announcement script,
+    /// Builds the topology on the cell's platform: the cell's peer
+    /// count of speakers (AS 65001+i at 10.0.0.2+i), each loaded with
+    /// a full-table announcement script at the cell's packetization,
     /// all sessions Idle and all links closed until their FSMs reach
-    /// Established.
+    /// Established. The cell's scenario only picks the default
+    /// packetization; the faults are `plan`'s.
     ///
     /// # Panics
     ///
-    /// Panics if `config.peers` is zero or above 64, or
-    /// `config.prefixes` is zero.
-    pub fn new(platform: &PlatformSpec, config: &TopologyConfig, plan: FaultPlan) -> Self {
-        assert!(
-            (1..=64).contains(&config.peers),
-            "peer count must be in 1..=64"
-        );
-        assert!(config.prefixes > 0, "topology needs at least one prefix");
-        let infos: Vec<PeerInfo> = (0..config.peers)
+    /// Panics if the cell's peer count is zero or above 64, or its
+    /// table size is zero.
+    pub fn new(cell: &CellSpec, plan: FaultPlan) -> Self {
+        let peers = cell.churn.peers;
+        let hold_ticks = cell.churn.hold_ticks;
+        let prefixes_per_update = cell.prefixes_per_update();
+        assert!((1..=64).contains(&peers), "peer count must be in 1..=64");
+        assert!(cell.prefixes > 0, "topology needs at least one prefix");
+        let infos: Vec<PeerInfo> = (0..peers)
             .map(|i| {
                 let host = 2 + i as u32;
                 PeerInfo::new(
@@ -141,14 +111,14 @@ impl Topology {
                 )
             })
             .collect();
-        let mut router = SimRouter::with_peers(platform, &infos, Asn(65000));
+        let mut router = SimRouter::with_peers(&cell.platform, &infos, Asn(65000));
         // Shard count must be set while the RIB is still empty.
-        router.set_rib_shards(config.rib_shards);
-        let table = TableGenerator::new(config.seed).generate(config.prefixes);
+        router.set_rib_shards(cell.rib_shards);
+        let table = TableGenerator::new(cell.seed).generate(cell.prefixes);
         let timers = SessionTimers {
-            hold_ticks: config.hold_ticks.max(3),
-            keepalive_ticks: (config.hold_ticks / 3).max(1),
-            connect_retry_ticks: (config.hold_ticks / 2).max(1),
+            hold_ticks: hold_ticks.max(3),
+            keepalive_ticks: (hold_ticks / 3).max(1),
+            connect_retry_ticks: (hold_ticks / 2).max(1),
         };
         let peers = infos
             .iter()
@@ -163,8 +133,8 @@ impl Topology {
                             speaker_asn: info.asn(),
                             path_len: 3,
                             next_hop: info.address(),
-                            prefixes_per_update: config.prefixes_per_update,
-                            seed: config.seed + i as u64,
+                            prefixes_per_update,
+                            seed: cell.seed + i as u64,
                         },
                     )),
                 );
@@ -184,16 +154,18 @@ impl Topology {
                 }
             })
             .collect();
+        router.set_cross_traffic_mbps(cell.cross_traffic_mbps);
         Topology {
             router,
             peers,
             plan,
-            config: *config,
+            prefixes: cell.prefixes,
             purged: 0,
         }
     }
 
-    /// Runs the tick loop to convergence (or the configured limit) and
+    /// Runs the tick loop to convergence (or the 600 000-tick safety
+    /// limit) and
     /// reports what happened. Records [`MetricId::SessionFlaps`],
     /// [`MetricId::DuplicateUpdates`], and
     /// [`MetricId::ConvergenceTicks`].
@@ -203,7 +175,7 @@ impl Topology {
         let mut tick: u64 = 0;
         let horizon = self.plan.horizon();
         let converged = loop {
-            if tick >= self.config.limit_ticks {
+            if tick >= LIMIT_TICKS {
                 break false;
             }
             while next_event < self.plan.events().len()
@@ -235,7 +207,7 @@ impl Topology {
             .iter()
             .map(|p| p.announced + self.router.speaker_transactions_taken(p.handle))
             .sum();
-        let baseline = (self.peers.len() * self.config.prefixes) as u64;
+        let baseline = (self.peers.len() * self.prefixes) as u64;
         let duplicate_updates = total_announced.saturating_sub(baseline);
         telemetry::add(MetricId::DuplicateUpdates, duplicate_updates);
         telemetry::gauge(MetricId::ConvergenceTicks, tick);
@@ -247,11 +219,6 @@ impl Topology {
             transactions: self.router.transactions_done(),
             purged_prefixes: self.purged,
         }
-    }
-
-    /// Sets the cross-traffic offered load during the run.
-    pub fn set_cross_traffic_mbps(&mut self, mbps: f64) {
-        self.router.set_cross_traffic_mbps(mbps);
     }
 
     /// The simulated router, for post-run inspection.
@@ -544,28 +511,28 @@ mod tests {
     use super::*;
     use bgpbench_models::xeon;
 
-    fn quick_config() -> TopologyConfig {
-        TopologyConfig {
-            peers: 3,
-            prefixes: 120,
-            seed: 1,
-            hold_ticks: 300,
-            limit_ticks: 120_000,
-            ..TopologyConfig::default()
-        }
+    const PREFIXES: usize = 120;
+    const PEERS: usize = 3;
+    const HOLD_TICKS: u64 = 300;
+
+    fn quick_cell() -> CellSpec {
+        CellSpec::new(Scenario::S9, xeon())
+            .peers(PEERS)
+            .prefixes(PREFIXES)
+            .seed(1)
+            .hold_ticks(HOLD_TICKS)
     }
 
     #[test]
     fn faultless_startup_converges_with_no_duplicates() {
-        let config = quick_config();
-        let mut topo = Topology::new(&xeon(), &config, FaultPlan::none());
+        let mut topo = Topology::new(&quick_cell(), FaultPlan::none());
         let outcome = topo.run_to_convergence();
         assert!(outcome.converged, "startup must converge");
         assert_eq!(outcome.flaps, 0);
         assert_eq!(outcome.duplicate_updates, 0);
         assert_eq!(outcome.purged_prefixes, 0);
-        assert_eq!(topo.router().loc_rib_len(), config.prefixes);
-        assert_eq!(topo.router().fib_len(), config.prefixes);
+        assert_eq!(topo.router().loc_rib_len(), PREFIXES);
+        assert_eq!(topo.router().fib_len(), PREFIXES);
         assert!(topo
             .session_states()
             .iter()
@@ -574,9 +541,7 @@ mod tests {
 
     #[test]
     fn a_flap_forces_a_full_readvertisement() {
-        let config = quick_config();
-        let plan = FaultPlan::restart(0, 2000);
-        let mut topo = Topology::new(&xeon(), &config, plan);
+        let mut topo = Topology::new(&quick_cell(), FaultPlan::restart(0, 2000));
         let outcome = topo.run_to_convergence();
         assert!(outcome.converged);
         assert_eq!(outcome.flaps, 1);
@@ -586,27 +551,25 @@ mod tests {
         );
         assert!(outcome.purged_prefixes > 0, "session down must purge");
         // The table heals completely after re-sync.
-        assert_eq!(topo.router().loc_rib_len(), config.prefixes);
-        assert_eq!(topo.router().fib_len(), config.prefixes);
+        assert_eq!(topo.router().loc_rib_len(), PREFIXES);
+        assert_eq!(topo.router().fib_len(), PREFIXES);
     }
 
     #[test]
     fn blackout_expires_the_hold_timer_and_recovers() {
-        let config = quick_config();
-        let plan = FaultPlan::hold_expiry_cascade(1, config.hold_ticks);
-        let mut topo = Topology::new(&xeon(), &config, plan);
+        let plan = FaultPlan::hold_expiry_cascade(1, HOLD_TICKS);
+        let mut topo = Topology::new(&quick_cell(), plan);
         let outcome = topo.run_to_convergence();
         assert!(outcome.converged);
         assert!(outcome.flaps >= 1, "blackout must expire the hold timer");
-        assert_eq!(topo.router().fib_len(), config.prefixes);
+        assert_eq!(topo.router().fib_len(), PREFIXES);
     }
 
     #[test]
     fn same_seed_is_bit_identical() {
-        let config = quick_config();
         let run = || {
-            let plan = FaultPlan::flap_storm(config.seed, config.peers, 4, 1500);
-            Topology::new(&xeon(), &config, plan).run_to_convergence()
+            let plan = FaultPlan::flap_storm(1, PEERS, 4, 1500);
+            Topology::new(&quick_cell(), plan).run_to_convergence()
         };
         assert_eq!(run(), run());
     }
@@ -614,10 +577,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "peer count")]
     fn zero_peers_panics() {
-        let config = TopologyConfig {
-            peers: 0,
-            ..TopologyConfig::default()
-        };
-        let _ = Topology::new(&xeon(), &config, FaultPlan::none());
+        let _ = Topology::new(&quick_cell().peers(0), FaultPlan::none());
     }
 }

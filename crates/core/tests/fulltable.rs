@@ -6,9 +6,7 @@
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use bgpbench_core::{
-    run_scenario, CellSpec, GridRunner, Scenario, ScenarioConfig, WorkloadKind, WorkloadSpec,
-};
+use bgpbench_core::{CellSpec, GridRunner, Scenario, WorkloadKind, WorkloadSpec};
 use bgpbench_models::xeon;
 use bgpbench_wire::mrt::{self, MrtPeer, PeerIndexTable, RibEntry, RibPrefix};
 use bgpbench_wire::{AsPath, Asn, Origin, PathAttribute, Prefix, RouterId};
@@ -71,9 +69,9 @@ fn fulltable_is_bit_identical_at_one_and_four_shards() {
 
 #[test]
 fn repeated_modern_runs_are_deterministic() {
-    let config = ScenarioConfig::builder().prefixes(1500).seed(42).build();
-    let first = run_scenario(&xeon(), Scenario::S17, &config);
-    let second = run_scenario(&xeon(), Scenario::S17, &config);
+    let cell = CellSpec::new(Scenario::S17, xeon()).prefixes(1500).seed(42);
+    let first = cell.run();
+    let second = cell.run();
     assert_eq!(first, second, "same seed must reproduce the same run");
 }
 
@@ -133,12 +131,11 @@ fn mrt_replay_sizes_the_run_from_the_dump_not_the_request() {
     ]);
     // Sanity: the dump decodes (1 peer index + 5 RIB records).
     assert_eq!(mrt::MrtReader::new(&dump).count(), 6);
-    let config = ScenarioConfig::builder()
+    let result = CellSpec::new(Scenario::S1, xeon())
         .prefixes(1000) // asks for far more than the dump holds
         .seed(7)
         .workload(WorkloadSpec::MrtBytes(Arc::new(dump)))
-        .build();
-    let result = run_scenario(&xeon(), Scenario::S1, &config);
+        .run();
     assert!(result.completed);
     // Phase targets follow the dump's actual table size.
     assert_eq!(result.transactions, 5);

@@ -11,8 +11,7 @@
 use std::path::PathBuf;
 
 use bgpbench_core::{
-    CellSpec, ChurnKind, ConvergenceOutcome, FaultAction, FaultPlan, PacketSize, Scenario,
-    Topology, TopologyConfig,
+    CellSpec, ChurnKind, ConvergenceOutcome, FaultAction, FaultPlan, PacketSize, Scenario, Topology,
 };
 use bgpbench_models::all_platforms;
 
@@ -102,19 +101,16 @@ fn registry_csv() -> String {
     // The flap storm again with many messages per table, so its Drop
     // and Reorder events act on scripts that are mid-flight.
     for platform in all_platforms() {
-        let config = TopologyConfig {
-            peers: CHURN_PEERS,
-            prefixes: SMALL_PACKET_PREFIXES,
-            seed: SEED,
-            hold_ticks: CHURN_HOLD_TICKS,
-            prefixes_per_update: STORM_PREFIXES_PER_UPDATE,
-            ..TopologyConfig::default()
-        };
-        let mut topology = Topology::new(&platform, &config, storm_plan());
-        let outcome = topology.run_to_convergence();
+        let name = platform.name;
+        let cell = CellSpec::new(Scenario::S9, platform)
+            .peers(CHURN_PEERS)
+            .prefixes(SMALL_PACKET_PREFIXES)
+            .seed(SEED)
+            .hold_ticks(CHURN_HOLD_TICKS)
+            .packetization(STORM_PREFIXES_PER_UPDATE);
+        let outcome = Topology::new(&cell, storm_plan()).run_to_convergence();
         out.push_str(&format!(
-            "9@{STORM_PREFIXES_PER_UPDATE},{},{}\n",
-            platform.name,
+            "9@{STORM_PREFIXES_PER_UPDATE},{name},{}\n",
             churn_columns(&outcome)
         ));
     }

@@ -586,16 +586,6 @@ impl RibEngine {
         out
     }
 
-    /// Pre-sizes the routing table for about `prefixes` routes,
-    /// avoiding incremental rehashing during a full-table load.
-    /// Production BGP speakers know the expected table size (a
-    /// configured maximum or the current Internet table size); calling
-    /// this before the initial flood is the moral equivalent of those
-    /// pre-sized allocations.
-    pub fn reserve(&mut self, prefixes: usize) {
-        self.rib.reserve(prefixes.saturating_sub(self.rib.len()));
-    }
-
     /// Processes one UPDATE from `peer`: withdrawals first, then
     /// announcements, per RFC 4271 §3.1. Returns one outcome per
     /// prefix, in message order.

@@ -399,16 +399,6 @@ impl ShardedRibEngine {
         merged
     }
 
-    /// Pre-sizes every shard's routing table for about `prefixes`
-    /// routes total (split evenly — the shard hash distributes
-    /// uniformly).
-    pub fn reserve(&mut self, prefixes: usize) {
-        let per_shard = prefixes.div_ceil(self.shards.len());
-        for shard in &mut self.shards {
-            shard.reserve(per_shard);
-        }
-    }
-
     /// Processes one UPDATE from `peer` (see
     /// [`RibEngine::apply_update`]). Outcomes come back in message
     /// order regardless of shard count.

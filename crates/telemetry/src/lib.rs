@@ -24,8 +24,9 @@
 //!
 //! Telemetry is process-global and **off by default**. Every recording
 //! helper first reads one relaxed [`AtomicBool`]; when disabled the
-//! entire instrumentation reduces to that load and a predicted branch,
-//! which keeps the `perf_baseline` hot paths within measurement noise.
+//! entire instrumentation reduces to that load and a predicted branch
+//! (the repo benchmark's `telemetry.metrics_on` / `telemetry.trace_on`
+//! rows measure what switching each recorder on adds per transaction).
 //! [`span`] returns `None` when disabled so the host clock is never
 //! read off-path.
 //!

@@ -9,17 +9,16 @@
 //! routing table. S16 additionally runs at 1 and 4 RIB shards to show
 //! that sharding never changes the simulated result.
 
-use bgpbench::bench::{run_scenario, Scenario, ScenarioConfig};
+use bgpbench::bench::{CellSpec, Scenario};
 use bgpbench::models::xeon;
 
 fn run(scenario: Scenario, prefixes: usize, rib_shards: usize) -> bgpbench::bench::ScenarioResult {
-    let config = ScenarioConfig::builder()
+    let cell = CellSpec::new(scenario, xeon())
         .prefixes(prefixes)
         .seed(2007)
-        .rib_shards(rib_shards)
-        .build();
+        .rib_shards(rib_shards);
     let start = std::time::Instant::now();
-    let result = run_scenario(&xeon(), scenario, &config);
+    let result = cell.run();
     let wall = start.elapsed();
     assert!(
         result.completed,

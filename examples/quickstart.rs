@@ -4,17 +4,17 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use bgpbench::bench::{run_scenario, Scenario, ScenarioConfig};
+use bgpbench::bench::{CellSpec, Scenario};
 use bgpbench::models::{all_platforms, xeon};
 
 fn main() {
     // One scenario, one platform.
-    let config = ScenarioConfig {
-        prefixes: 5000,
-        seed: 2007,
-        ..ScenarioConfig::default()
+    let cell = |platform| {
+        CellSpec::new(Scenario::S2, platform)
+            .prefixes(5000)
+            .seed(2007)
     };
-    let result = run_scenario(&xeon(), Scenario::S2, &config);
+    let result = cell(xeon()).run();
     println!(
         "{} on {}: {} transactions in {:.2} simulated seconds = {:.1} transactions/s",
         result.scenario,
@@ -27,11 +27,8 @@ fn main() {
     // The same scenario across all four platforms of the paper.
     println!("\n{} across all platforms:", Scenario::S2);
     for platform in all_platforms() {
-        let result = run_scenario(&platform, Scenario::S2, &config);
-        println!(
-            "  {:<12} {:>10.1} transactions/s",
-            platform.name,
-            result.tps()
-        );
+        let name = platform.name;
+        let result = cell(platform).run();
+        println!("  {name:<12} {:>10.1} transactions/s", result.tps());
     }
 }

@@ -26,14 +26,10 @@
 //! the simulated dual-core Xeon:
 //!
 //! ```
-//! use bgpbench::bench::{run_scenario, Scenario, ScenarioConfig};
+//! use bgpbench::bench::{CellSpec, Scenario};
 //! use bgpbench::models::xeon;
 //!
-//! let result = run_scenario(
-//!     &xeon(),
-//!     Scenario::S2,
-//!     &ScenarioConfig { prefixes: 1000, seed: 1, ..ScenarioConfig::default() },
-//! );
+//! let result = CellSpec::new(Scenario::S2, xeon()).prefixes(1000).seed(1).run();
 //! println!("{}: {:.1} transactions/s", result.scenario, result.tps());
 //! assert!(result.completed);
 //! ```

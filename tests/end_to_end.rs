@@ -3,19 +3,17 @@
 
 use std::net::Ipv4Addr;
 
-use bgpbench::bench::{run_scenario, Scenario, ScenarioConfig};
+use bgpbench::bench::{CellSpec, Scenario};
 use bgpbench::fib::{ForwardDecision, Forwarder, Ipv4Header, NextHop};
-use bgpbench::models::{all_platforms, pentium3, SimRouter, SPEAKER_1, SPEAKER_2};
+use bgpbench::models::{all_platforms, pentium3, PlatformSpec, SimRouter, SPEAKER_1, SPEAKER_2};
 use bgpbench::rib::{PeerId, PeerInfo, RibEngine};
 use bgpbench::speaker::{workload, SpeakerScript, TableGenerator};
 use bgpbench::wire::{Asn, Message, RouterId};
 
-fn quick(prefixes: usize) -> ScenarioConfig {
-    ScenarioConfig {
-        prefixes,
-        seed: 99,
-        ..ScenarioConfig::default()
-    }
+fn quick(scenario: Scenario, platform: PlatformSpec, prefixes: usize) -> CellSpec {
+    CellSpec::new(scenario, platform)
+        .prefixes(prefixes)
+        .seed(99)
 }
 
 #[test]
@@ -26,7 +24,7 @@ fn every_platform_runs_every_scenario_to_completion() {
                 bgpbench::bench::PacketSize::Small => 40,
                 bgpbench::bench::PacketSize::Large => 600,
             };
-            let result = run_scenario(&platform, scenario, &quick(prefixes));
+            let result = quick(scenario, platform.clone(), prefixes).run();
             assert!(
                 result.completed,
                 "{} {} did not complete",
@@ -40,7 +38,7 @@ fn every_platform_runs_every_scenario_to_completion() {
 #[test]
 fn simulation_is_deterministic_across_runs() {
     let run = || {
-        let r = run_scenario(&pentium3(), Scenario::S8, &quick(300));
+        let r = quick(Scenario::S8, pentium3(), 300).run();
         (r.transactions, r.elapsed_secs.to_bits())
     };
     assert_eq!(run(), run());
@@ -112,16 +110,16 @@ fn wire_to_rib_to_fib_to_forwarding_chain() {
 fn scenario5_fib_stays_put_scenario7_fib_moves() {
     // The core distinction of the benchmark, verified through the
     // model's real FIB at the facade level.
-    let config = quick(200);
+    const SEED: u64 = 99;
     for (scenario, expect_speaker2_hop) in [(Scenario::S6, false), (Scenario::S8, true)] {
         let mut router = SimRouter::new(&pentium3());
-        let table = TableGenerator::new(config.seed).generate(config.prefixes);
+        let table = TableGenerator::new(SEED).generate(200);
         let base = workload::AnnounceSpec {
             speaker_asn: Asn(65001),
             path_len: 3,
             next_hop: Ipv4Addr::new(10, 0, 0, 2),
             prefixes_per_update: 500,
-            seed: config.seed,
+            seed: SEED,
         };
         router.load_script(
             SPEAKER_1,
@@ -133,7 +131,7 @@ fn scenario5_fib_stays_put_scenario7_fib_moves() {
             path_len: if expect_speaker2_hop { 2 } else { 6 },
             next_hop: Ipv4Addr::new(10, 0, 0, 3),
             prefixes_per_update: 500,
-            seed: config.seed + 1,
+            seed: SEED + 1,
         };
         router.load_script(
             SPEAKER_2,

@@ -1,5 +1,5 @@
 //! Shape assertions: the paper's qualitative findings must hold in the
-//! reproduction (reduced sizes; the bench binaries run full size).
+//! reproduction (reduced sizes; the `bgpbench` subcommands run full size).
 
 use bgpbench::bench::experiments::{table3, ExperimentConfig};
 use bgpbench::bench::{CellSpec, GridRunner, Scenario, ScenarioResult};
@@ -56,13 +56,13 @@ fn fig3_wall_clock_ordering_across_platforms() {
     // The paper's Fig. 3 x-axes: the Xeon completes Scenario 6 "in
     // less than 90 seconds whereas the IXP2400 requires more than half
     // an hour" — a ~20x+ spread, with the Pentium III in between.
-    use bgpbench::bench::{run_scenario, ScenarioConfig};
-    let config = ScenarioConfig {
-        prefixes: 1000,
-        seed: 3,
-        ..ScenarioConfig::default()
+    let elapsed = |platform| {
+        CellSpec::new(Scenario::S6, platform)
+            .prefixes(1000)
+            .seed(3)
+            .run()
+            .elapsed_secs
     };
-    let elapsed = |platform| run_scenario(&platform, Scenario::S6, &config).elapsed_secs;
     let xeon_secs = elapsed(xeon());
     let p3_secs = elapsed(pentium3());
     let ixp_secs = elapsed(ixp2400());
