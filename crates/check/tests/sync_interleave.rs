@@ -21,7 +21,7 @@ use bgpbench_check::interleave::{explore, explore_dpor, ExploreError};
 use bgpbench_check::sync::{recorded_lock_graph, LockOrderGraph};
 use bgpbench_core::{CellSpec, GridRunner, Scenario};
 use bgpbench_models::pentium3;
-use bgpbench_telemetry::{EventKind, Journal, MetricId, Registry, Snapshot};
+use bgpbench_telemetry::{MetricId, Registry, Snapshot};
 use crossbeam::sync_check::ChannelOp;
 use parking_lot::Mutex;
 
@@ -92,42 +92,6 @@ fn inverted_lock_order_is_detected_without_a_deadlock() {
         .expect("inverted acquisition order must produce a cycle");
     assert_eq!(cycle.first(), cycle.last());
     assert!(cycle.contains(&a.sync_id()) && cycle.contains(&b.sync_id()));
-}
-
-#[test]
-fn telemetry_journal_locking_is_cycle_free() {
-    // A real subsystem under the detector: concurrent pushes into the
-    // telemetry journal's ring buffer (a single parking_lot mutex —
-    // there must be no nested acquisition at all).
-    let _serial = serial();
-    parking_lot::sync_check::reset();
-
-    let journal = Arc::new(Journal::new(256));
-    let handles: Vec<_> = (0..4)
-        .map(|thread| {
-            let journal = Arc::clone(&journal);
-            std::thread::spawn(move || {
-                for i in 0..50u64 {
-                    journal.push(bgpbench_telemetry::Event::now(
-                        EventKind::PhaseStart,
-                        thread,
-                        i,
-                    ));
-                }
-            })
-        })
-        .collect();
-    for handle in handles {
-        handle.join().expect("journal writer panicked");
-    }
-
-    assert_eq!(journal.total_recorded(), 200);
-    let graph = recorded_lock_graph();
-    assert_eq!(
-        graph.find_cycle(),
-        None,
-        "journal writes must not nest locks"
-    );
 }
 
 #[test]

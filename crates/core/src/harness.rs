@@ -4,7 +4,7 @@ use std::net::Ipv4Addr;
 
 use bgpbench_models::SimRouter;
 use bgpbench_speaker::{workload, SpeakerScript};
-use bgpbench_telemetry::{self as telemetry, EventKind, SpanId};
+use bgpbench_telemetry::{self as telemetry, SpanId};
 use bgpbench_wire::Asn;
 
 use crate::faults::FaultPlan;
@@ -264,9 +264,9 @@ fn drive(router: &mut SimRouter, cell: &CellSpec) -> ScenarioResult {
     }
 }
 
-/// Marks a phase boundary on the router's recorder and in the
-/// telemetry journal (the journal entry carries the virtual tick at
-/// which the phase began), and opens the phase's span.
+/// Marks a phase boundary on the router's recorder and on the trace
+/// timeline (the instant carries the virtual tick at which the phase
+/// began), and opens the phase's span.
 fn begin_phase(router: &mut SimRouter, phase: u64) -> Option<telemetry::SpanGuard> {
     let (label, span) = match phase {
         1 => ("phase 1", SpanId::Phase1),
@@ -274,7 +274,6 @@ fn begin_phase(router: &mut SimRouter, phase: u64) -> Option<telemetry::SpanGuar
         _ => ("phase 3", SpanId::Phase3),
     };
     router.mark(label);
-    telemetry::event(EventKind::PhaseStart, phase, router.ticks_elapsed());
     telemetry::trace_instant(
         bgpbench_telemetry::TraceEventId::PhaseMark,
         phase,

@@ -455,16 +455,14 @@ impl RunObserver for StderrProgress {
                     wall,
                     error.message
                 );
-                // Post-mortem: the most recent journal events (decision
-                // outcomes, damping transitions, session churn) leading
-                // up to the panic, when telemetry is recording.
-                if telemetry::enabled() {
-                    let dump = telemetry::journal_dump_text(32);
-                    if !dump.is_empty() {
-                        eprintln!("--- telemetry journal (most recent last) ---");
-                        eprint!("{dump}");
-                        eprintln!("--------------------------------------------");
-                    }
+                // Post-mortem: the flight recorder's newest events
+                // (phase and cell boundaries, FSM transitions, session
+                // churn) leading up to the panic, when it is armed.
+                let tail = panic_tail();
+                if !tail.is_empty() {
+                    eprintln!("--- flight recorder (most recent last) ---");
+                    eprint!("{tail}");
+                    eprintln!("------------------------------------------");
                 }
             }
         }
@@ -477,6 +475,16 @@ impl RunObserver for StderrProgress {
             eprintln!("{total} cells in {wall:.2?}");
         }
     }
+}
+
+/// The newest 32 flight-recorder events as text, one per line: what
+/// [`StderrProgress`] prints under a failed cell. Empty unless tracing
+/// is armed.
+pub fn panic_tail() -> String {
+    if !telemetry::trace_enabled() {
+        return String::new();
+    }
+    telemetry::trace::export::tail_text(&telemetry::trace_dump(), 32)
 }
 
 enum Event<T> {
@@ -528,7 +536,7 @@ impl GridRunner {
 
     /// Arms the flight recorder for the whole run. When any cell
     /// panics and the config names a post-mortem path, the ring is
-    /// exported there as Chrome trace JSON next to the journal dump.
+    /// exported there as Chrome trace JSON next to the stderr tail.
     pub fn with_trace(mut self, config: TraceConfig) -> Self {
         self.trace = Some(config);
         self
@@ -692,8 +700,8 @@ impl GridRunner {
     }
 
     /// Dumps the flight-recorder ring as Chrome trace JSON to the
-    /// configured post-mortem path — the timeline counterpart of the
-    /// journal tail [`StderrProgress`] prints on a cell panic.
+    /// configured post-mortem path — the whole timeline whose tail
+    /// [`StderrProgress`] prints on a cell panic.
     fn write_trace_postmortem(&self) {
         let Some(path) = self
             .trace

@@ -25,7 +25,7 @@ use bgpbench_daemon::{FsmAction, FsmEvent, FsmState, SessionFsm, SessionTimers};
 use bgpbench_models::{PlatformSpec, SimRouter, SpeakerHandle};
 use bgpbench_rib::{PeerId, PeerInfo};
 use bgpbench_speaker::{workload, SpeakerScript, TableGenerator};
-use bgpbench_telemetry::{self as telemetry, EventKind, MetricId, TraceEventId};
+use bgpbench_telemetry::{self as telemetry, MetricId, TraceEventId};
 use bgpbench_wire::{Asn, RouterId};
 
 use crate::experiments::{Figure, Panel};
@@ -119,6 +119,8 @@ impl Topology {
             hold_ticks: hold_ticks.max(3),
             keepalive_ticks: (hold_ticks / 3).max(1),
             connect_retry_ticks: (hold_ticks / 2).max(1),
+            // The simulated handshake has one hold value throughout.
+            open_hold_ticks: hold_ticks.max(3),
         };
         let peers = infos
             .iter()
@@ -142,7 +144,7 @@ impl Topology {
                 router.set_speaker_enabled(handle, false);
                 let mut fsm = SessionFsm::new(timers);
                 // Peer ids are 1-based on the trace timeline (0 means
-                // "unlabeled"), matching the journal convention below.
+                // "unlabeled"), as on the live daemon's sessions.
                 fsm.set_trace_label(i as u64 + 1);
                 PeerRuntime {
                     handle,
@@ -306,13 +308,16 @@ impl Topology {
             match action {
                 FsmAction::SessionDown => {
                     telemetry::incr(MetricId::SessionFlaps);
-                    telemetry::event(EventKind::SessionDown, i as u64 + 1, 0);
                     telemetry::trace_instant(TraceEventId::SessionDown, i as u64 + 1, 0);
                     self.purged += self.router.purge_speaker(handle) as u64;
                 }
                 FsmAction::SessionUp => {
-                    telemetry::event(EventKind::SessionUp, i as u64 + 1, 0);
-                    telemetry::trace_instant(TraceEventId::SessionUp, i as u64 + 1, 0);
+                    // Peer i speaks as AS 65001 + i (see `Topology::new`).
+                    telemetry::trace_instant(
+                        TraceEventId::SessionUp,
+                        i as u64 + 1,
+                        65001 + i as u64,
+                    );
                     // BGP has no incremental resync: a fresh session
                     // re-advertises the whole table. Bank what the old
                     // session already sent (reset zeroes the counter),
@@ -324,7 +329,7 @@ impl Topology {
                 FsmAction::StartConnect
                 | FsmAction::SendOpen
                 | FsmAction::SendKeepalive
-                | FsmAction::SendNotification => {}
+                | FsmAction::SendNotification(_) => {}
             }
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! bgpd [--listen ADDR:PORT] [--asn N] [--router-id A.B.C.D] [--hold SECS]
-//!      [--keepalive SECS] [--connect-retry SECS] [--metrics ADDR:PORT]
+//!      [--keepalive SECS] [--metrics ADDR:PORT]
 //! ```
 //!
 //! Prints a state snapshot once per second; terminate with Ctrl-C.
@@ -21,7 +21,7 @@ use bgpbench_wire::{Asn, RouterId};
 fn usage() -> ! {
     eprintln!(
         "usage: bgpd [--listen ADDR:PORT] [--asn N] [--router-id A.B.C.D] [--hold SECS] \
-         [--keepalive SECS] [--connect-retry SECS] [--metrics ADDR:PORT]"
+         [--keepalive SECS] [--metrics ADDR:PORT]"
     );
     exit(2);
 }
@@ -56,10 +56,6 @@ fn main() {
             },
             "--keepalive" => match value.parse::<u16>() {
                 Ok(secs) => builder.keepalive_secs(secs),
-                Err(_) => usage(),
-            },
-            "--connect-retry" => match value.parse::<u16>() {
-                Ok(secs) => builder.connect_retry_secs(secs),
                 Err(_) => usage(),
             },
             _ => usage(),
@@ -108,13 +104,15 @@ fn main() {
         if ticks.is_multiple_of(5) {
             for peer in daemon.peer_snapshots() {
                 println!(
-                    "  peer {} @ {}: in {} updates / {} prefixes, out {} updates / {} prefixes",
+                    "  peer {} @ {}: in {} updates / {} prefixes, out {} updates / {} prefixes \
+                     ({} too long to send)",
                     peer.asn,
                     peer.address,
                     peer.updates_in,
                     peer.prefixes_in,
                     peer.updates_out,
-                    peer.prefixes_out
+                    peer.prefixes_out,
+                    peer.updates_oversize
                 );
             }
         }

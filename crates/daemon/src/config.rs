@@ -19,8 +19,6 @@ pub struct DaemonConfig {
     /// Interval between our own KEEPALIVEs (seconds; zero derives the
     /// conventional hold/3).
     pub keepalive_secs: u16,
-    /// Delay between transport connection attempts (seconds).
-    pub connect_retry_secs: u16,
     /// Address to listen on; port 0 picks an ephemeral port.
     pub bind_addr: SocketAddr,
     /// NEXT_HOP advertised for exported routes.
@@ -56,7 +54,6 @@ impl Default for DaemonConfig {
             router_id: RouterId(0x0A00_0001),
             hold_time_secs: 90,
             keepalive_secs: 30,
-            connect_retry_secs: 120,
             bind_addr: "127.0.0.1:0".parse().expect("static addr parses"),
             next_hop: Ipv4Addr::new(10, 0, 0, 1),
             export_prefixes_per_update: 500,
@@ -66,7 +63,7 @@ impl Default for DaemonConfig {
 
 /// Builder for [`DaemonConfig`]. Every setter defaults to the
 /// paper-faithful value (AS 65000, hold 90 s, keepalive 30 s,
-/// connect-retry 120 s, 500 prefixes per exported UPDATE).
+/// 500 prefixes per exported UPDATE).
 #[derive(Debug, Clone)]
 pub struct DaemonConfigBuilder {
     config: DaemonConfig,
@@ -94,12 +91,6 @@ impl DaemonConfigBuilder {
     /// Sets the keepalive interval (zero derives hold/3).
     pub fn keepalive_secs(mut self, secs: u16) -> Self {
         self.config.keepalive_secs = secs;
-        self
-    }
-
-    /// Sets the transport connect-retry delay.
-    pub fn connect_retry_secs(mut self, secs: u16) -> Self {
-        self.config.connect_retry_secs = secs;
         self
     }
 
@@ -151,12 +142,10 @@ mod tests {
             .local_asn(Asn(65010))
             .hold_time_secs(9)
             .keepalive_secs(3)
-            .connect_retry_secs(1)
             .build();
         assert_eq!(config.local_asn, Asn(65010));
         assert_eq!(config.hold_time_secs, 9);
         assert_eq!(config.effective_keepalive_secs(), 3);
-        assert_eq!(config.connect_retry_secs, 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use bgpbench_rib::{
     AdjRibOut, ExportAction, FibDirective, OutboundUpdate, PeerId, PeerInfo, PrefixOutcome,
     RibEngine, RibError, RibStats, RouteAttributes,
 };
-use bgpbench_telemetry::{self as telemetry, EventKind, MetricId, SpanId};
+use bgpbench_telemetry::{self as telemetry, MetricId, SpanId, TraceEventId};
 use bgpbench_wire::{Prefix, UpdateMessage};
 
 use crate::DaemonConfig;
@@ -66,6 +66,9 @@ pub struct PeerSnapshot {
     pub updates_out: u64,
     /// Prefix-level announcements/withdrawals sent to this peer.
     pub prefixes_out: u64,
+    /// UPDATE messages owed to this peer that could not be sent: their
+    /// exported attributes left no room for a prefix in 4096 octets.
+    pub updates_oversize: u64,
 }
 
 /// Everything the core keeps about one established session.
@@ -91,8 +94,10 @@ impl Peer {
 
     fn stage_update(&mut self, update: OutboundUpdate<'_>) {
         // An UPDATE too long for one message (a packet-size limit the
-        // attributes leave no room for) is not sent.
+        // attributes leave no room for) cannot be sent, only counted.
         if update.encode_into(&mut self.staged).is_err() {
+            self.stats.updates_oversize += 1;
+            telemetry::incr(MetricId::DaemonUpdatesOversize);
             return;
         }
         self.stats.updates_out += 1;
@@ -183,18 +188,26 @@ impl Core {
         Batch { core: self }
     }
 
+    /// The id of a session that has just been accepted; it names the
+    /// session on the trace timeline from its first FSM transition and
+    /// in [`Core::register_peer`] once it is up.
+    pub(crate) fn allocate_peer(&mut self) -> PeerId {
+        let id = PeerId(self.next_peer);
+        self.next_peer += 1;
+        id
+    }
+
     /// Registers an established session: adds the peer to the engine,
     /// stores its writer, and sends the initial full-table
     /// advertisement (Phase 2 of the benchmark methodology).
     pub(crate) fn register_peer(
         &mut self,
+        id: PeerId,
         asn: bgpbench_wire::Asn,
         router_id: bgpbench_wire::RouterId,
         address: Ipv4Addr,
         writer: Sender<Vec<u8>>,
-    ) -> PeerId {
-        let id = PeerId(self.next_peer);
-        self.next_peer += 1;
+    ) {
         self.engine
             .add_peer(PeerInfo::new(id, asn, router_id, address));
         let stats = PeerSnapshot {
@@ -205,6 +218,7 @@ impl Core {
             prefixes_in: 0,
             updates_out: 0,
             prefixes_out: 0,
+            updates_oversize: 0,
         };
         self.peers.insert(
             id,
@@ -218,8 +232,7 @@ impl Core {
         self.advertise_table(id);
         self.flush();
         telemetry::incr(MetricId::SessionsOpened);
-        telemetry::event(EventKind::SessionUp, u64::from(id.0), u64::from(asn.0));
-        id
+        telemetry::trace_instant(TraceEventId::SessionUp, u64::from(id.0), u64::from(asn.0));
     }
 
     /// Tears a session down: withdraws everything learned from the
@@ -227,7 +240,7 @@ impl Core {
     pub(crate) fn unregister_peer(&mut self, peer: PeerId) {
         if self.peers.remove(&peer).is_some() {
             telemetry::incr(MetricId::SessionsClosed);
-            telemetry::event(EventKind::SessionDown, u64::from(peer.0), 0);
+            telemetry::trace_instant(TraceEventId::SessionDown, u64::from(peer.0), 0);
         }
         if let Ok(outcomes) = self.engine.remove_peer(peer) {
             self.apply_fib(&outcomes);
@@ -336,19 +349,6 @@ impl Core {
         self.peers.len()
     }
 
-    /// Whether `peer` still has an established session.
-    pub(crate) fn is_registered(&self, peer: PeerId) -> bool {
-        self.peers.contains_key(&peer)
-    }
-
-    pub(crate) fn peer_snapshot(&self, peer: PeerId) -> Option<PeerSnapshot> {
-        self.peers.get(&peer).map(|peer| peer.stats.clone())
-    }
-
-    pub(crate) fn peer_ids(&self) -> Vec<PeerId> {
-        self.peers.keys().copied().collect()
-    }
-
     pub(crate) fn peer_snapshots(&self) -> Vec<PeerSnapshot> {
         self.peers.values().map(|peer| peer.stats.clone()).collect()
     }
@@ -373,12 +373,19 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpbench_wire::{AsPath, Asn, Message, Origin, PathAttribute, RouterId};
+    use bgpbench_wire::{AsPath, AsPathSegment, Asn, Message, Origin, PathAttribute, RouterId};
     use crossbeam::channel::{unbounded, Receiver};
 
     fn register(core: &mut Core, asn: u16) -> (PeerId, Receiver<Vec<u8>>) {
         let (tx, rx) = unbounded();
-        let id = core.register_peer(Asn(asn), RouterId(u32::from(asn)), Ipv4Addr::LOCALHOST, tx);
+        let id = core.allocate_peer();
+        core.register_peer(
+            id,
+            Asn(asn),
+            RouterId(u32::from(asn)),
+            Ipv4Addr::LOCALHOST,
+            tx,
+        );
         (id, rx)
     }
 
@@ -553,7 +560,46 @@ mod tests {
         assert_eq!(announced(&delivered), [host(1), host(2)]);
         // A route is never advertised back to its source.
         assert!(source_rx.try_recv().is_err());
-        assert_eq!(core.peer_snapshot(live).unwrap().updates_out, 2);
+        assert_eq!(core.peers[&live].stats.updates_out, 2);
+    }
+
+    #[test]
+    fn an_update_too_long_to_export_is_counted_not_sent() {
+        let mut core = Core::new(DaemonConfig::default());
+        let (source, _source_rx) = register(&mut core, 65001);
+        let (observer, observer_rx) = register(&mut core, 65003);
+        // One prefix over an AS_PATH of `asns` hops, first segment full,
+        // so prepending our AS opens a new segment: four more octets.
+        let long = |asns: u16| {
+            let path: Vec<Asn> = (1..=asns).map(Asn).collect();
+            let segments = path
+                .chunks(255)
+                .map(|c| AsPathSegment::Sequence(c.to_vec()));
+            UpdateMessage::builder()
+                .attribute(PathAttribute::Origin(Origin::Igp))
+                .attribute(PathAttribute::AsPath(AsPath::from_segments(segments)))
+                .attribute(PathAttribute::NextHop(Ipv4Addr::new(127, 0, 0, 1)))
+                .announce(host(1))
+                .build()
+        };
+        // The longest such path a peer can send us in 4096 octets.
+        let asns = (256..4096)
+            .rev()
+            .find(|&asns| Message::Update(long(asns)).encode().is_ok())
+            .unwrap();
+        core.batch().apply_update(source, &long(asns)).unwrap();
+
+        assert!(observer_rx.try_recv().is_err(), "nothing is written");
+        let stats = &core.peers[&observer].stats;
+        assert_eq!(stats.updates_oversize, 1);
+        assert_eq!((stats.updates_out, stats.prefixes_out), (0, 0));
+        assert_eq!(staged(&core, observer), 0);
+
+        // The next ordinary UPDATE still goes out.
+        core.batch().apply_update(source, &announce(2..3)).unwrap();
+        assert_eq!(announced(&observer_rx.try_recv().unwrap()), [host(2)]);
+        let stats = &core.peers[&observer].stats;
+        assert_eq!((stats.updates_oversize, stats.updates_out), (1, 1));
     }
 
     #[test]

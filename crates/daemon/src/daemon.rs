@@ -79,16 +79,6 @@ impl BgpDaemon {
         self.core.lock().peer_snapshots()
     }
 
-    /// One [`crate::PeerHandle`] per session, ordered by session id.
-    pub fn peer_handles(&self) -> Vec<crate::DaemonPeerHandle> {
-        self.core
-            .lock()
-            .peer_ids()
-            .into_iter()
-            .map(|id| crate::DaemonPeerHandle::new(Arc::clone(&self.core), id))
-            .collect()
-    }
-
     /// A consistent snapshot of sessions, RIB, and FIB state.
     pub fn snapshot(&self) -> DaemonSnapshot {
         let core = self.core.lock();

@@ -1,21 +1,36 @@
-//! The RFC 4271 session FSM on simnet ticks.
+//! The RFC 4271 session FSM, counted in ticks.
 //!
 //! [`SessionFsm`] is a pure, socket-free state machine over the five
 //! classic states (Idle, Connect, OpenSent, OpenConfirm, Established).
 //! Transport and message arrivals are fed in as [`FsmEvent`]s; timers
 //! (hold, keepalive, connect-retry) are counted in discrete ticks and
-//! advanced by [`SessionFsm::on_tick`], so a simulated topology drives
-//! N sessions deterministically off the simnet clock while the
-//! socket-backed session loop in [`crate::session`] keeps its own
-//! wall-clock timers. Every transition is total: unexpected events are
-//! FSM errors that reset the session to Idle (RFC 4271 §6.6), never
-//! panics — this module is under the workspace no-panic lint.
+//! advanced by [`SessionFsm::on_tick`]. It has two drivers and no
+//! sibling: the simulated topology ticks N sessions off the simnet
+//! clock, and the live daemon's session threads ([`crate::session`])
+//! feed it decoded messages and one tick per elapsed wall-clock
+//! millisecond. Every transition is total: unexpected events are FSM
+//! errors that reset the session to Idle (RFC 4271 §6.6), never panics
+//! — this module is under the workspace no-panic lint.
 //!
-//! Deviations from the full RFC figure, chosen for the simulator:
+//! What a driver owes the machine:
 //!
-//! * no `Active` state — the simulated transport either connects on
-//!   request or reports failure, so the passive-wait state collapses
-//!   into `Connect`;
+//! * the peer's proposed hold time, via
+//!   [`SessionFsm::set_peer_hold_ticks`] before
+//!   [`FsmEvent::OpenReceived`], when it has a real OPEN in hand — the
+//!   timers are then armed from the negotiated value (RFC 4271 §4.2).
+//!   A driver that never says (the topology) runs on its configured
+//!   timers unchanged;
+//! * the NOTIFICATION body for [`NotifyCause::MessageError`]: the
+//!   machine knows *that* a malformed message ends the session
+//!   ([`FsmEvent::MessageError`]), only the decoder knows which RFC
+//!   4271 §6.1–§6.3 code describes it. Every other cause names its
+//!   error code itself.
+//!
+//! Deviations from the full RFC figure:
+//!
+//! * no `Active` state — both drivers' transports either come up on
+//!   request or fail (the daemon's is an already-accepted socket), so
+//!   the passive-wait state collapses into `Connect`;
 //! * hold-timer expiry from *every* state lands in Idle (the RFC
 //!   leaves the timer stopped in Idle/Connect; treating a stray expiry
 //!   as a reset keeps the transition table total);
@@ -93,11 +108,14 @@ pub enum FsmEvent {
     HoldTimerExpired,
     /// Time to send our own KEEPALIVE.
     KeepaliveTimerExpired,
+    /// The peer sent something that cannot be accepted: bytes that do
+    /// not decode, or an UPDATE the routing engine rejects.
+    MessageError,
 }
 
 impl FsmEvent {
     /// Every event, for exhaustive property tests.
-    pub const ALL: [FsmEvent; 11] = [
+    pub const ALL: [FsmEvent; 12] = [
         FsmEvent::ManualStart,
         FsmEvent::ManualStop,
         FsmEvent::TcpConnected,
@@ -109,6 +127,7 @@ impl FsmEvent {
         FsmEvent::NotificationReceived,
         FsmEvent::HoldTimerExpired,
         FsmEvent::KeepaliveTimerExpired,
+        FsmEvent::MessageError,
     ];
 }
 
@@ -122,34 +141,70 @@ pub enum FsmAction {
     /// Send a KEEPALIVE.
     SendKeepalive,
     /// Send a NOTIFICATION (session is being torn down with cause).
-    SendNotification,
+    SendNotification(NotifyCause),
     /// The session reached Established.
     SessionUp,
     /// The session left Established (purge the peer's routes).
     SessionDown,
 }
 
-/// Session timer durations in simnet ticks. Zero disables a timer
+/// Why the FSM tears a session down with a NOTIFICATION: the RFC 4271
+/// §6 error the message must carry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum NotifyCause {
+    /// §6.5: the hold timer ran out.
+    HoldTimerExpired,
+    /// §6.6: an event the current state has no transition for.
+    FsmError,
+    /// §6.7: we are closing the session ourselves.
+    Cease,
+    /// §6.1–§6.3: the message behind [`FsmEvent::MessageError`]; the
+    /// driver holds the code, subcode and data.
+    MessageError,
+}
+
+impl NotifyCause {
+    /// The cause a reset triggered by `event` reports.
+    fn of(event: FsmEvent) -> Self {
+        match event {
+            FsmEvent::HoldTimerExpired => NotifyCause::HoldTimerExpired,
+            FsmEvent::ManualStop => NotifyCause::Cease,
+            FsmEvent::MessageError => NotifyCause::MessageError,
+            _ => NotifyCause::FsmError,
+        }
+    }
+}
+
+/// Session timer durations in ticks. Zero disables a timer
 /// (matching the hold-time-zero convention of RFC 4271 §4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionTimers {
-    /// Ticks without hearing from the peer before the session resets.
+    /// Ticks without hearing from the peer before the session resets:
+    /// our proposal, until the peer's OPEN negotiates it down.
     pub hold_ticks: u64,
     /// Ticks between our own KEEPALIVEs (conventionally hold/3).
     pub keepalive_ticks: u64,
     /// Ticks between transport connection attempts.
     pub connect_retry_ticks: u64,
+    /// Ticks OpenSent waits for the peer's OPEN — RFC 4271 §8's "large
+    /// value", in force before any hold time has been negotiated.
+    pub open_hold_ticks: u64,
 }
+
+/// The OpenSent hold time [`SessionTimers::from_secs`] arms: the four
+/// minutes RFC 4271 §8.2.2 suggests.
+pub const OPEN_HOLD_SECS: u64 = 240;
 
 impl SessionTimers {
     /// Timers from second-granularity configuration at `ticks_per_sec`
-    /// simnet resolution. A zero keepalive derives hold/3.
+    /// resolution. A zero keepalive derives hold/3.
     pub fn from_secs(hold: u16, keepalive: u16, connect_retry: u16, ticks_per_sec: u64) -> Self {
         let keepalive = if keepalive == 0 { hold / 3 } else { keepalive };
         SessionTimers {
             hold_ticks: u64::from(hold) * ticks_per_sec,
             keepalive_ticks: u64::from(keepalive) * ticks_per_sec,
             connect_retry_ticks: u64::from(connect_retry) * ticks_per_sec,
+            open_hold_ticks: OPEN_HOLD_SECS * ticks_per_sec,
         }
     }
 
@@ -158,12 +213,28 @@ impl SessionTimers {
     pub fn paper_default(ticks_per_sec: u64) -> Self {
         SessionTimers::from_secs(90, 30, 120, ticks_per_sec)
     }
+
+    /// RFC 4271 §4.2: the session runs on the smaller of the two
+    /// proposed hold times, zero disables hold and keepalive alike,
+    /// and our keepalive interval is the configured one but never
+    /// slower than a third of the hold time.
+    pub fn negotiated(self, peer_hold_ticks: u64) -> Self {
+        let hold_ticks = self.hold_ticks.min(peer_hold_ticks);
+        SessionTimers {
+            hold_ticks,
+            keepalive_ticks: self.keepalive_ticks.min(hold_ticks / 3),
+            ..self
+        }
+    }
 }
 
 /// A deterministic, tick-driven BGP session FSM.
 #[derive(Debug, Clone)]
 pub struct SessionFsm {
     state: FsmState,
+    configured: SessionTimers,
+    /// The timers in force: `configured`, or what the peer's OPEN
+    /// negotiated them down to.
     timers: SessionTimers,
     hold_remaining: u64,
     keepalive_remaining: u64,
@@ -180,6 +251,7 @@ impl SessionFsm {
     pub fn new(timers: SessionTimers) -> Self {
         SessionFsm {
             state: FsmState::Idle,
+            configured: timers,
             timers,
             hold_remaining: 0,
             keepalive_remaining: 0,
@@ -211,7 +283,15 @@ impl SessionFsm {
         self.transitions
     }
 
-    /// The configured timer durations.
+    /// Takes the hold time the peer's OPEN proposes, ahead of the
+    /// [`FsmEvent::OpenReceived`] that arms the timers: from here to
+    /// the next reset they are the negotiated ones.
+    pub fn set_peer_hold_ticks(&mut self, ticks: u64) {
+        self.timers = self.configured.negotiated(ticks);
+    }
+
+    /// The timer durations in force: as configured, until an OPEN
+    /// whose hold time the driver reported negotiates them down.
     pub fn timers(&self) -> SessionTimers {
         self.timers
     }
@@ -270,7 +350,7 @@ impl SessionFsm {
                     self.state,
                     FsmState::OpenSent | FsmState::OpenConfirm | FsmState::Established
                 );
-                self.reset(notify, actions);
+                self.reset(notify.then_some(event), actions);
             }
 
             (FsmState::Idle, FsmEvent::ManualStart) => {
@@ -284,7 +364,7 @@ impl SessionFsm {
             (FsmState::Connect, FsmEvent::TcpConnected) => {
                 self.state = FsmState::OpenSent;
                 self.connect_retry_remaining = 0;
-                self.hold_remaining = self.timers.hold_ticks;
+                self.hold_remaining = self.timers.open_hold_ticks;
                 actions.push(FsmAction::SendOpen);
             }
             // Transport failure: stay in Connect and retry (this model
@@ -296,7 +376,7 @@ impl SessionFsm {
             }
             (FsmState::Connect, FsmEvent::ManualStart) => {}
             // BGP messages without a transport are an FSM error.
-            (FsmState::Connect, _) => self.reset(false, actions),
+            (FsmState::Connect, _) => self.reset(None, actions),
 
             (FsmState::OpenSent, FsmEvent::OpenReceived) => {
                 self.state = FsmState::OpenConfirm;
@@ -305,10 +385,10 @@ impl SessionFsm {
                 actions.push(FsmAction::SendKeepalive);
             }
             (FsmState::OpenSent, FsmEvent::TcpFailed)
-            | (FsmState::OpenSent, FsmEvent::NotificationReceived) => self.reset(false, actions),
+            | (FsmState::OpenSent, FsmEvent::NotificationReceived) => self.reset(None, actions),
             (FsmState::OpenSent, FsmEvent::ManualStart)
             | (FsmState::OpenSent, FsmEvent::ConnectRetryExpired) => {}
-            (FsmState::OpenSent, _) => self.reset(true, actions),
+            (FsmState::OpenSent, _) => self.reset(Some(event), actions),
 
             (FsmState::OpenConfirm, FsmEvent::KeepaliveReceived) => {
                 self.state = FsmState::Established;
@@ -320,10 +400,10 @@ impl SessionFsm {
                 actions.push(FsmAction::SendKeepalive);
             }
             (FsmState::OpenConfirm, FsmEvent::TcpFailed)
-            | (FsmState::OpenConfirm, FsmEvent::NotificationReceived) => self.reset(false, actions),
+            | (FsmState::OpenConfirm, FsmEvent::NotificationReceived) => self.reset(None, actions),
             (FsmState::OpenConfirm, FsmEvent::ManualStart)
             | (FsmState::OpenConfirm, FsmEvent::ConnectRetryExpired) => {}
-            (FsmState::OpenConfirm, _) => self.reset(true, actions),
+            (FsmState::OpenConfirm, _) => self.reset(Some(event), actions),
 
             (FsmState::Established, FsmEvent::KeepaliveReceived)
             | (FsmState::Established, FsmEvent::UpdateReceived) => {
@@ -334,25 +414,27 @@ impl SessionFsm {
                 actions.push(FsmAction::SendKeepalive);
             }
             (FsmState::Established, FsmEvent::TcpFailed)
-            | (FsmState::Established, FsmEvent::NotificationReceived) => self.reset(false, actions),
+            | (FsmState::Established, FsmEvent::NotificationReceived) => self.reset(None, actions),
             (FsmState::Established, FsmEvent::ManualStart)
             | (FsmState::Established, FsmEvent::ConnectRetryExpired) => {}
-            (FsmState::Established, _) => self.reset(true, actions),
+            (FsmState::Established, _) => self.reset(Some(event), actions),
         }
     }
 
-    /// Drops to Idle, stopping all timers. Emits `SendNotification`
-    /// when we are tearing down an open exchange ourselves, and
-    /// `SessionDown` when leaving Established.
-    fn reset(&mut self, notify: bool, actions: &mut Vec<FsmAction>) {
-        if notify {
-            actions.push(FsmAction::SendNotification);
+    /// Drops to Idle, stopping all timers and forgetting what the
+    /// peer negotiated. `notify` is the event we are tearing an open
+    /// exchange down over, which owes the peer a NOTIFICATION;
+    /// `SessionDown` is emitted when leaving Established.
+    fn reset(&mut self, notify: Option<FsmEvent>, actions: &mut Vec<FsmAction>) {
+        if let Some(event) = notify {
+            actions.push(FsmAction::SendNotification(NotifyCause::of(event)));
         }
         if matches!(self.state, FsmState::Established) {
             self.flaps += 1;
             actions.push(FsmAction::SessionDown);
         }
         self.state = FsmState::Idle;
+        self.timers = self.configured;
         self.hold_remaining = 0;
         self.keepalive_remaining = 0;
         self.connect_retry_remaining = 0;
@@ -380,6 +462,7 @@ mod tests {
             hold_ticks: 9,
             keepalive_ticks: 3,
             connect_retry_ticks: 5,
+            open_hold_ticks: 9,
         }
     }
 
@@ -444,7 +527,10 @@ mod tests {
         actions.clear();
         fsm.handle(FsmEvent::UpdateReceived, &mut actions);
         assert_eq!(fsm.state(), FsmState::Idle);
-        assert_eq!(actions, vec![FsmAction::SendNotification]);
+        assert_eq!(
+            actions,
+            vec![FsmAction::SendNotification(NotifyCause::FsmError)]
+        );
     }
 
     #[test]
@@ -463,5 +549,26 @@ mod tests {
         assert_eq!(t.hold_ticks, 90_000);
         assert_eq!(t.keepalive_ticks, 30_000);
         assert_eq!(t.connect_retry_ticks, 120_000);
+        assert_eq!(t.open_hold_ticks, 240_000);
+    }
+
+    #[test]
+    fn hold_negotiation_takes_the_minimum() {
+        let ours = SessionTimers::from_secs(90, 30, 0, 1000);
+        for (peer, hold, keepalive) in [(30_000, 30_000, 10_000), (180_000, 90_000, 30_000)] {
+            let mut fsm = SessionFsm::new(ours);
+            let mut actions = Vec::new();
+            fsm.handle(FsmEvent::ManualStart, &mut actions);
+            fsm.handle(FsmEvent::TcpConnected, &mut actions);
+            fsm.set_peer_hold_ticks(peer);
+            fsm.handle(FsmEvent::OpenReceived, &mut actions);
+            assert_eq!(fsm.timers().hold_ticks, hold);
+            assert_eq!(fsm.timers().keepalive_ticks, keepalive);
+        }
+        // Zero on either side disables both timers.
+        assert_eq!(ours.negotiated(0).hold_ticks, 0);
+        assert_eq!(ours.negotiated(0).keepalive_ticks, 0);
+        let silent = SessionTimers::from_secs(0, 0, 0, 1000).negotiated(90_000);
+        assert_eq!((silent.hold_ticks, silent.keepalive_ticks), (0, 0));
     }
 }

@@ -1,10 +1,12 @@
 //! A real, runnable BGP daemon.
 //!
 //! Where `bgpbench-models` *simulates* the paper's router platforms,
-//! this crate is an actual BGP speaker: a TCP listener, a per-session
-//! finite state machine (RFC 4271 §8), hold/keepalive timers, a shared
-//! [`bgpbench_rib::RibEngine`], a shadow [`bgpbench_fib::Fib`], and
-//! Adj-RIB-Out propagation to every other established session.
+//! this crate is an actual BGP speaker: a TCP listener, one thread per
+//! session driving the RFC 4271 §8 state machine ([`SessionFsm`], the
+//! same one the simulated topology ticks) off its socket and the wall
+//! clock, a shared [`bgpbench_rib::RibEngine`], a shadow
+//! [`bgpbench_fib::Fib`], and Adj-RIB-Out propagation to every other
+//! established session.
 //!
 //! It serves two purposes in the reproduction:
 //!
@@ -35,13 +37,10 @@ mod core;
 mod daemon;
 pub mod fsm;
 pub mod http;
-mod peer;
 mod session;
 
 pub use config::{DaemonConfig, DaemonConfigBuilder};
 pub use core::PeerSnapshot;
 pub use daemon::{BgpDaemon, DaemonSnapshot};
-pub use fsm::{FsmAction, FsmEvent, FsmState, SessionFsm, SessionTimers};
+pub use fsm::{FsmAction, FsmEvent, FsmState, NotifyCause, SessionFsm, SessionTimers};
 pub use http::MetricsServer;
-pub use peer::{DaemonPeerHandle, PeerCounters, PeerHandle};
-pub use session::SessionState;

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use bgpbench_daemon::{BgpDaemon, DaemonConfig};
 use bgpbench_speaker::{workload, LiveSpeaker, LiveSpeakerConfig, TableGenerator};
-use bgpbench_wire::{Asn, ErrorCode, Message, RouterId};
+use bgpbench_wire::{Asn, ErrorCode, Message, NotificationMessage, RouterId};
 
 fn wait_sessions(daemon: &BgpDaemon, expected: usize, timeout: Duration) -> bool {
     let deadline = Instant::now() + timeout;
@@ -123,7 +123,12 @@ fn garbage_mid_session_closes_only_that_session() {
         // Now raw bytes that cannot be a BGP header.
         let mut stream = victim_stream(&mut victim);
         stream.write_all(&[0u8; 19]).unwrap();
-        // The daemon should drop this session shortly.
+        // The daemon says what was wrong — the marker, so Message
+        // Header Error / Connection Not Synchronized — and drops this
+        // session shortly.
+        let note = next_notification(&mut victim);
+        assert_eq!(note.error_code(), ErrorCode::MessageHeaderError);
+        assert_eq!(note.subcode(), 1, "connection not synchronized");
         assert!(wait_sessions(&daemon, 1, Duration::from_secs(5)));
     }
     // The healthy session is untouched.
@@ -136,6 +141,97 @@ fn garbage_mid_session_closes_only_that_session() {
 /// Grabs a raw handle to the speaker's socket for garbage injection.
 fn victim_stream(speaker: &mut LiveSpeaker) -> std::net::TcpStream {
     speaker.raw_stream().try_clone().unwrap()
+}
+
+/// Reads until the daemon's NOTIFICATION arrives.
+fn next_notification(speaker: &mut LiveSpeaker) -> NotificationMessage {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        assert!(Instant::now() < deadline, "no notification received");
+        match speaker.recv() {
+            Ok(Some(Message::Notification(note))) => return note,
+            Ok(_) => {}
+            Err(err) => panic!("session closed without a notification: {err}"),
+        }
+    }
+}
+
+#[test]
+fn bad_length_mid_session_is_named_in_the_notification() {
+    let daemon = BgpDaemon::start(DaemonConfig::default()).unwrap();
+    let mut speaker = connect(&daemon);
+    // A well-formed marker, then a length below the 19-octet header.
+    let mut header = [0xFFu8; 19];
+    header[16..18].copy_from_slice(&18u16.to_be_bytes());
+    header[18] = 2;
+    speaker.raw_stream().write_all(&header).unwrap();
+    let note = next_notification(&mut speaker);
+    assert_eq!(note.error_code(), ErrorCode::MessageHeaderError);
+    assert_eq!(note.subcode(), 2, "bad message length");
+    assert_eq!(note.data(), 18u16.to_be_bytes(), "the length as sent");
+    assert!(wait_sessions(&daemon, 0, Duration::from_secs(5)));
+    daemon.shutdown();
+}
+
+fn connect(daemon: &BgpDaemon) -> LiveSpeaker {
+    let config = LiveSpeakerConfig {
+        local_asn: Asn(65001),
+        router_id: RouterId(0x0A00_0002),
+        hold_time_secs: 90,
+    };
+    let speaker =
+        LiveSpeaker::connect(daemon.local_addr(), &config, Duration::from_secs(5)).unwrap();
+    assert!(wait_sessions(daemon, 1, Duration::from_secs(5)));
+    speaker
+}
+
+#[test]
+fn an_open_mid_session_is_an_fsm_error() {
+    use bgpbench_wire::OpenMessage;
+
+    let daemon = BgpDaemon::start(DaemonConfig::default()).unwrap();
+    let mut speaker = connect(&daemon);
+    let open = Message::Open(OpenMessage::new(Asn(65001), 90, RouterId(0x0A00_0002)));
+    speaker
+        .raw_stream()
+        .write_all(&open.encode().unwrap())
+        .unwrap();
+    let note = next_notification(&mut speaker);
+    assert_eq!(note.error_code(), ErrorCode::FiniteStateMachineError);
+    assert!(wait_sessions(&daemon, 0, Duration::from_secs(5)));
+    daemon.shutdown();
+}
+
+#[test]
+fn a_peer_notification_ends_the_session_without_a_reply() {
+    let daemon = BgpDaemon::start(DaemonConfig::default()).unwrap();
+    let mut speaker = connect(&daemon);
+    let cease = Message::Notification(NotificationMessage::new(ErrorCode::Cease, 0));
+    speaker
+        .raw_stream()
+        .write_all(&cease.encode().unwrap())
+        .unwrap();
+    assert!(wait_sessions(&daemon, 0, Duration::from_secs(5)));
+    // The daemon closes; nothing but the end of the stream comes back.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        assert!(Instant::now() < deadline, "the daemon never closed");
+        match speaker.recv() {
+            Ok(Some(Message::Notification(note))) => panic!("replied with {note}"),
+            Ok(_) => {}
+            Err(_) => break,
+        }
+    }
+    daemon.shutdown();
+}
+
+#[test]
+fn shutdown_ceases_established_sessions() {
+    let daemon = BgpDaemon::start(DaemonConfig::default()).unwrap();
+    let mut speaker = connect(&daemon);
+    daemon.shutdown();
+    let note = next_notification(&mut speaker);
+    assert_eq!(note.error_code(), ErrorCode::Cease);
 }
 
 #[test]
@@ -156,18 +252,20 @@ fn unsupported_bgp_version_gets_the_rfc_subcode() {
     stream.write_all(&open).unwrap();
 
     // Expect NOTIFICATION: OPEN message error (2), unsupported
-    // version number (1).
+    // version number (1) — behind the OPEN the daemon sent on connect.
     let mut decoder = StreamDecoder::new();
     let deadline = Instant::now() + Duration::from_secs(5);
-    let note = loop {
+    let note = 'read: loop {
         assert!(Instant::now() < deadline, "no notification received");
         let mut buf = [0u8; 1024];
         match stream.read(&mut buf) {
             Ok(0) => panic!("connection closed without notification"),
             Ok(n) => {
                 decoder.extend(&buf[..n]);
-                if let Some(Message::Notification(note)) = decoder.next_message().unwrap() {
-                    break note;
+                while let Some(message) = decoder.next_message().unwrap() {
+                    if let Message::Notification(note) = message {
+                        break 'read note;
+                    }
                 }
             }
             Err(_) => {}

@@ -1,6 +1,7 @@
-//! Property-based tests for the tick-driven session FSM.
+//! Property-based tests for the tick-driven session FSM — the machine
+//! both the simulated topology and the live daemon's sessions run.
 
-use bgpbench_daemon::{FsmAction, FsmEvent, FsmState, SessionFsm, SessionTimers};
+use bgpbench_daemon::{FsmAction, FsmEvent, FsmState, NotifyCause, SessionFsm, SessionTimers};
 use proptest::prelude::*;
 
 fn timers() -> SessionTimers {
@@ -8,6 +9,7 @@ fn timers() -> SessionTimers {
         hold_ticks: 12,
         keepalive_ticks: 4,
         connect_retry_ticks: 6,
+        open_hold_ticks: 12,
     }
 }
 
@@ -52,8 +54,10 @@ fn allowed(pre: FsmState, event: FsmEvent, post: FsmState) -> bool {
     use FsmEvent as E;
     use FsmState as S;
     match (pre, event) {
-        // Global resets.
-        (_, E::ManualStop) | (_, E::HoldTimerExpired) => post == S::Idle,
+        // Global resets; a message that cannot be accepted ends the
+        // session wherever it arrives (Idle, which ignores everything,
+        // is already there).
+        (_, E::ManualStop | E::HoldTimerExpired | E::MessageError) => post == S::Idle,
         (S::Idle, E::ManualStart) => post == S::Connect,
         (S::Idle, _) => post == S::Idle,
         (S::Connect, E::TcpConnected) => post == S::OpenSent,
@@ -94,6 +98,12 @@ fn arb_step() -> impl Strategy<Value = Step> {
     prop_oneof![arb_event().prop_map(Step::Event), Just(Step::Tick)]
 }
 
+/// A random walk from Idle rarely gets past Connect, so walks start in
+/// any of the five states.
+fn arb_state() -> impl Strategy<Value = FsmState> {
+    (0usize..ALL_STATES.len()).prop_map(|i| ALL_STATES[i])
+}
+
 proptest! {
     /// Every transition the FSM takes — for any event from any
     /// reachable state, with ticks interleaved — is in the legal
@@ -101,9 +111,10 @@ proptest! {
     /// Established exits.
     #[test]
     fn transitions_stay_within_the_table(
+        start in arb_state(),
         steps in prop::collection::vec(arb_step(), 0..120),
     ) {
-        let mut fsm = SessionFsm::new(timers());
+        let mut fsm = fsm_in(start);
         let mut actions = Vec::new();
         let mut established_exits = 0u64;
         for step in steps {
@@ -131,6 +142,84 @@ proptest! {
             }
         }
         prop_assert_eq!(fsm.flaps(), established_exits);
+    }
+
+    /// A NOTIFICATION says why: Hold Timer Expired exactly when the
+    /// hold timer is what ended the session — fed in directly or fired
+    /// by `on_tick` — Cease exactly on `ManualStop`, and the decoder's
+    /// own code exactly on `MessageError`; anything else the table has
+    /// no transition for is an FSM error.
+    #[test]
+    fn notifications_carry_the_cause_of_the_reset(
+        start in arb_state(),
+        steps in prop::collection::vec(arb_step(), 0..120),
+    ) {
+        let mut fsm = fsm_in(start);
+        let mut actions = Vec::new();
+        for step in steps {
+            actions.clear();
+            let expected = match step {
+                Step::Event(event) => {
+                    fsm.handle(event, &mut actions);
+                    match event {
+                        FsmEvent::HoldTimerExpired => NotifyCause::HoldTimerExpired,
+                        FsmEvent::ManualStop => NotifyCause::Cease,
+                        FsmEvent::MessageError => NotifyCause::MessageError,
+                        _ => NotifyCause::FsmError,
+                    }
+                }
+                // The only timer whose expiry resets is the hold timer.
+                Step::Tick => {
+                    fsm.on_tick(&mut actions);
+                    NotifyCause::HoldTimerExpired
+                }
+            };
+            let sent: Vec<NotifyCause> = actions
+                .iter()
+                .filter_map(|action| match action {
+                    FsmAction::SendNotification(cause) => Some(*cause),
+                    _ => None,
+                })
+                .collect();
+            prop_assert!(sent.len() <= 1, "{step:?} sent {sent:?}");
+            for cause in sent {
+                prop_assert_eq!(cause, expected, "after {:?}", step);
+                prop_assert_eq!(fsm.state(), FsmState::Idle);
+            }
+        }
+    }
+
+    /// RFC 4271 §4.2: whatever the two sides propose, the timers an
+    /// OPEN arms exceed neither proposal, keepalives fit three to a
+    /// hold time, a zero on either side disables both, and the next
+    /// session starts from the configuration again.
+    #[test]
+    fn negotiated_timers_never_exceed_either_proposal(
+        ours in 0u64..400,
+        keepalive in 0u64..400,
+        theirs in 0u64..400,
+    ) {
+        let configured = SessionTimers {
+            hold_ticks: ours,
+            keepalive_ticks: keepalive,
+            ..timers()
+        };
+        let mut fsm = SessionFsm::new(configured);
+        let mut actions = Vec::new();
+        fsm.handle(FsmEvent::ManualStart, &mut actions);
+        fsm.handle(FsmEvent::TcpConnected, &mut actions);
+        fsm.set_peer_hold_ticks(theirs);
+        fsm.handle(FsmEvent::OpenReceived, &mut actions);
+        prop_assert_eq!(fsm.state(), FsmState::OpenConfirm);
+        let armed = fsm.timers();
+        prop_assert_eq!(armed.hold_ticks, ours.min(theirs));
+        prop_assert!(armed.keepalive_ticks <= keepalive);
+        prop_assert!(armed.keepalive_ticks * 3 <= armed.hold_ticks);
+        if ours == 0 || theirs == 0 {
+            prop_assert_eq!((armed.hold_ticks, armed.keepalive_ticks), (0, 0));
+        }
+        fsm.handle(FsmEvent::ManualStop, &mut actions);
+        prop_assert_eq!(fsm.timers(), configured);
     }
 
     /// The FSM is a pure function of its event sequence: two instances

@@ -344,3 +344,131 @@ fn daemon_survives_garbage_bytes() {
     assert!(speaker.is_ok());
     daemon.shutdown();
 }
+
+/// The daemon's session threads run the same `SessionFsm` the
+/// simulated topology ticks, so a traced live peer leaves the same
+/// timeline behind: the FSM's walk up and its session.up, the fall
+/// back to Idle and its session.down, all under the peer's id.
+#[test]
+fn traced_live_session_walks_the_fsm() {
+    use bgpbench_telemetry::{TraceConfig, TraceEventId};
+
+    // Other tests of this binary run beside this one and are traced
+    // while it is; an AS number nobody else uses finds this session.
+    const ASN: u16 = 64_777;
+    bgpbench_telemetry::enable_trace(&TraceConfig::default());
+    let daemon = BgpDaemon::start(DaemonConfig::default()).unwrap();
+    let mut speaker = LiveSpeaker::connect(
+        daemon.local_addr(),
+        &LiveSpeakerConfig {
+            local_asn: Asn(ASN),
+            ..speaker1_config()
+        },
+        Duration::from_secs(5),
+    )
+    .unwrap();
+    let table = TableGenerator::new(18).generate(10);
+    speaker
+        .flood(&workload::announcements(&table, &announce_spec(10, 3, ASN)))
+        .unwrap();
+    wait_for(&daemon, Duration::from_secs(5), |s| s.loc_rib_len == 10);
+    drop(speaker);
+    wait_for(&daemon, Duration::from_secs(5), |s| s.sessions == 0);
+    daemon.shutdown();
+    bgpbench_telemetry::disable_trace();
+
+    // A session's events are all recorded by its own thread.
+    let dump = bgpbench_telemetry::trace_dump();
+    let events = dump
+        .threads
+        .iter()
+        .map(|thread| &thread.events)
+        .find(|events| {
+            events
+                .iter()
+                .any(|e| e.id == TraceEventId::SessionUp && e.b == u64::from(ASN))
+        })
+        .expect("the session was traced");
+    let peer = events
+        .iter()
+        .find(|e| e.id == TraceEventId::SessionUp)
+        .map(|e| e.a)
+        .unwrap();
+    let trail: Vec<(TraceEventId, u64)> = events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.id,
+                TraceEventId::FsmTransition | TraceEventId::SessionUp | TraceEventId::SessionDown
+            )
+        })
+        .map(|e| {
+            assert_eq!(e.a, peer, "{e:?} is on another peer's track");
+            (
+                e.id,
+                if e.id == TraceEventId::FsmTransition {
+                    e.b
+                } else {
+                    0
+                },
+            )
+        })
+        .collect();
+    // RFC 4271 state codes: Idle 1, Connect 2, OpenSent 4,
+    // OpenConfirm 5, Established 6.
+    assert_eq!(
+        trail,
+        [
+            (TraceEventId::FsmTransition, 0x0102),
+            (TraceEventId::FsmTransition, 0x0204),
+            (TraceEventId::FsmTransition, 0x0405),
+            (TraceEventId::FsmTransition, 0x0506),
+            (TraceEventId::SessionUp, 0),
+            (TraceEventId::FsmTransition, 0x0601),
+            (TraceEventId::SessionDown, 0),
+        ]
+    );
+}
+
+/// A peer may send its first UPDATE right behind the KEEPALIVE that
+/// completes the handshake. One socket read can then deliver both; the
+/// UPDATE must be applied by the session the KEEPALIVE brought up.
+#[test]
+fn update_in_the_same_write_as_the_handshake_keepalive_is_applied() {
+    use bgpbench_wire::{Message, OpenMessage, StreamDecoder};
+    use std::io::{Read, Write};
+
+    let daemon = BgpDaemon::start(DaemonConfig::default()).unwrap();
+    let mut stream = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let open = OpenMessage::new(Asn(65001), 90, RouterId(0x0A00_0002));
+    stream
+        .write_all(&Message::Open(open).encode().unwrap())
+        .unwrap();
+    // Wait for the daemon's OPEN and KEEPALIVE: it is in OpenConfirm.
+    let mut decoder = StreamDecoder::new();
+    let mut seen = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while seen.len() < 2 {
+        assert!(Instant::now() < deadline, "no handshake from the daemon");
+        let mut buf = [0u8; 1024];
+        if let Ok(n) = stream.read(&mut buf) {
+            decoder.extend(&buf[..n]);
+            seen.extend(decoder.drain().unwrap());
+        }
+    }
+    assert!(matches!(seen[..], [Message::Open(_), Message::Keepalive]));
+
+    let table = TableGenerator::new(19).generate(5);
+    let mut bytes = Message::Keepalive.encode().unwrap();
+    for update in workload::announcements(&table, &announce_spec(5, 3, 65001)) {
+        Message::Update(update).encode_into(&mut bytes).unwrap();
+    }
+    stream.write_all(&bytes).unwrap();
+    let snapshot = wait_for(&daemon, Duration::from_secs(5), |s| s.loc_rib_len == 5);
+    assert_eq!(snapshot.sessions, 1);
+    assert_eq!(snapshot.loc_rib_len, 5);
+    daemon.shutdown();
+}

@@ -14,7 +14,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use bgpbench_telemetry::{self as telemetry, EventKind, MetricId, SpanId};
+use bgpbench_telemetry::{self as telemetry, MetricId, SpanId};
 use bgpbench_wire::{Asn, Prefix, RouterId, UpdateMessage};
 
 use crate::attr_store::AttrStore;
@@ -621,7 +621,7 @@ impl RibEngine {
     ) -> Result<Vec<PrefixOutcome>, RibError> {
         // The disabled path pays one relaxed load and a predicted
         // branch; everything else (spans, the host clock, counter
-        // deltas, journal entries) lives behind it.
+        // deltas) lives behind it.
         if telemetry::disabled() {
             return self.apply_update_inner(peer, update, now_secs);
         }
@@ -630,7 +630,6 @@ impl RibEngine {
         let attrs_before = self.attr_store.stats();
         let result = self.apply_update_inner(peer, update, now_secs);
         record_apply_telemetry(
-            peer,
             update,
             start.elapsed().as_nanos() as u64,
             attrs_before,
@@ -983,13 +982,11 @@ impl RibEngine {
     }
 }
 
-/// Records the per-update metrics, counter deltas, gauges, and
-/// journal events for one applied UPDATE. Shared by
+/// Records the per-update metrics, counter deltas and gauges for one
+/// applied UPDATE. Shared by
 /// [`RibEngine::apply_update_at`] and the sharded engine's fan-out
 /// path so both emit an identical telemetry shape.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn record_apply_telemetry(
-    peer: PeerId,
     update: &UpdateMessage,
     host_ns: u64,
     attrs_before: crate::attr_store::AttrStoreStats,
@@ -1018,26 +1015,11 @@ pub(crate) fn record_apply_telemetry(
     if let Ok(outcomes) = result {
         telemetry::add(MetricId::RibPrefixes, outcomes.len() as u64);
         for outcome in outcomes {
-            let packed =
-                telemetry::pack_prefix(outcome.prefix.network_bits(), outcome.prefix.len());
-            let peer_bits = u64::from(peer.0);
             match outcome.change {
-                RouteChange::Installed => {
+                RouteChange::Installed | RouteChange::Replaced { .. } | RouteChange::Withdrawn => {
                     telemetry::incr(MetricId::RibBestChanged);
-                    telemetry::event(EventKind::BestInstalled, packed, peer_bits);
                 }
-                RouteChange::Replaced { .. } => {
-                    telemetry::incr(MetricId::RibBestChanged);
-                    telemetry::event(EventKind::BestReplaced, packed, peer_bits);
-                }
-                RouteChange::Withdrawn => {
-                    telemetry::incr(MetricId::RibBestChanged);
-                    telemetry::event(EventKind::BestWithdrawn, packed, peer_bits);
-                }
-                RouteChange::Dampened => {
-                    telemetry::incr(MetricId::RibDampened);
-                    telemetry::event(EventKind::Dampened, packed, peer_bits);
-                }
+                RouteChange::Dampened => telemetry::incr(MetricId::RibDampened),
                 RouteChange::Unchanged
                 | RouteChange::WithdrawnUnknown
                 | RouteChange::RejectedByPolicy
@@ -1055,9 +1037,7 @@ pub(crate) fn record_apply_telemetry(
 /// attributed evenly across its updates; attribute-store deltas are
 /// charged to the first update, since the train decodes and interns
 /// up front.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn record_train_telemetry(
-    peer: PeerId,
     updates: &[UpdateMessage],
     host_ns: u64,
     attrs_before: crate::attr_store::AttrStoreStats,
@@ -1083,7 +1063,6 @@ pub(crate) fn record_train_telemetry(
         // closes within one simulator tick.
         telemetry::global().span_record(SpanId::RibApplyUpdate, slice_ns, 0);
         record_apply_telemetry(
-            peer,
             update,
             slice_ns,
             before,

@@ -446,7 +446,6 @@ impl ShardedRibEngine {
         let attrs_before = self.attr_store_stats();
         let result = self.fan_out_update(peer, update, now_secs);
         record_apply_telemetry(
-            peer,
             update,
             start.elapsed().as_nanos() as u64,
             attrs_before,
@@ -766,7 +765,6 @@ impl ShardedRibEngine {
         }
         if let Some((start, attrs_before)) = train_start {
             record_train_telemetry(
-                peer,
                 updates,
                 start.elapsed().as_nanos() as u64,
                 attrs_before,

@@ -1,5 +1,6 @@
-//! Telemetry for the bgpbench stack: a sharded metrics registry, a
-//! dual-clock span tracer, and a bounded event journal.
+//! Telemetry for the bgpbench stack. Two recorders: aggregates (a
+//! sharded metrics registry with a dual-clock span tracer) and a
+//! timeline (the flight recorder).
 //!
 //! The paper's most distinctive result beyond raw transactions/sec is
 //! its *decomposition* of where BGP processing time goes (Figs. 3–4).
@@ -16,9 +17,10 @@
 //!   (published per tick via [`set_virtual_now_ns`]), so a span over
 //!   `RibEngine::apply_update` or a benchmark phase attributes cost
 //!   per component per scenario.
-//! * **Event journal** — a bounded, overwrite-oldest ring of decision
-//!   outcomes, damping transitions, and session events, dumped
-//!   post-mortem when a grid cell panics.
+//! * **Flight recorder** ([`trace`]) — bounded per-thread rings of
+//!   individual events (FSM transitions, session up/down, phase and
+//!   cell boundaries, shard spans), exported as a Chrome trace and
+//!   printed as the panic tail when a grid cell fails.
 //!
 //! # The off switch
 //!
@@ -47,7 +49,6 @@
 
 #![forbid(unsafe_code)]
 
-mod journal;
 mod metrics;
 mod snapshot;
 mod span;
@@ -56,7 +57,6 @@ pub mod trace;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-pub use journal::{pack_prefix, Event, EventKind, Journal};
 pub use metrics::{
     bucket_bounds, bucket_index, MetricId, MetricKind, Registry, HIST_BUCKETS, N_HISTS, N_METRICS,
     N_SCALARS, N_SHARDS,
@@ -71,7 +71,6 @@ pub use trace::{
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
-static JOURNAL: OnceLock<Journal> = OnceLock::new();
 
 /// Turns global telemetry on.
 pub fn enable() {
@@ -99,11 +98,6 @@ pub fn disabled() -> bool {
 /// The process-global registry.
 pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
-}
-
-/// The process-global event journal.
-pub fn journal() -> &'static Journal {
-    JOURNAL.get_or_init(|| Journal::new(Journal::DEFAULT_CAPACITY))
 }
 
 /// A snapshot of the global registry.
@@ -153,20 +147,6 @@ pub fn span(id: SpanId) -> Option<SpanGuard> {
     }
 }
 
-/// Journals an event with the current virtual timestamp; no-op while
-/// disabled.
-#[inline]
-pub fn event(kind: EventKind, a: u64, b: u64) {
-    if enabled() {
-        journal().push(Event::now(kind, a, b));
-    }
-}
-
-/// Renders the newest `limit` journal events (post-mortem dumps).
-pub fn journal_dump_text(limit: usize) -> String {
-    journal().dump_text(limit)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,11 +161,9 @@ mod tests {
         let before = snapshot();
         add(MetricId::RibUpdates, 5);
         observe(MetricId::UpdatePrefixes, 9);
-        event(EventKind::SessionUp, 1, 0);
         assert!(span(SpanId::RibApplyUpdate).is_none());
         let delta = snapshot().diff(&before);
         assert!(delta.is_empty());
-        assert_eq!(journal().total_recorded(), 0);
 
         // Enabled: the same calls land.
         enable();
@@ -193,11 +171,9 @@ mod tests {
         {
             let _guard = span(SpanId::RibApplyUpdate).expect("enabled spans are Some");
         }
-        event(EventKind::SessionUp, 1, 0);
         disable();
         let delta = snapshot().diff(&before);
         assert_eq!(delta.get(MetricId::RibUpdates), 5);
         assert_eq!(delta.span(SpanId::RibApplyUpdate).count, 1);
-        assert_eq!(journal().total_recorded(), 1);
     }
 }

@@ -141,6 +141,30 @@ pub fn chrome_json(dump: &TraceDump) -> String {
     out
 }
 
+/// Renders the newest `limit` events across all threads as text, one
+/// line each, oldest first — the panic tail the grid runner prints
+/// next to the post-mortem file.
+pub fn tail_text(dump: &TraceDump, limit: usize) -> String {
+    let mut events: Vec<&TraceEvent> = dump.threads.iter().flat_map(|t| &t.events).collect();
+    events.sort_by_key(|event| event.ts_ns);
+    let mut out = String::new();
+    for event in events.iter().skip(events.len().saturating_sub(limit)) {
+        let (label_a, label_b) = event.id.label_names();
+        let _ = writeln!(
+            out,
+            "[{:>14} us | virt {:>12} ns] {} {}={} {}={}",
+            ts_us(event.ts_ns),
+            event.virt_ns,
+            event.id.name(),
+            label_a,
+            event.a,
+            label_b,
+            event.b
+        );
+    }
+    out
+}
+
 /// Summary of a validated Chrome trace file.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChromeTraceStats {
@@ -404,6 +428,25 @@ mod tests {
         assert!(json.contains("\"name\":\"thread_name\""));
         assert!(json.contains("rib shard 1"));
         assert!(json.contains("\"dropped_events\":3"));
+    }
+
+    #[test]
+    fn tail_text_shows_the_newest_events_in_time_order() {
+        let tail = tail_text(&sample_dump(), 3);
+        let names: Vec<&str> = tail
+            .lines()
+            .map(|line| line.split("] ").nth(1).expect("line has a body"))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "fsm.transition peer=2 from_to=262",
+                "rib.merge.queue_depth depth=5 unused=0",
+                "session.down peer=1 tick=9",
+            ]
+        );
+        assert_eq!(tail_text(&sample_dump(), 100).lines().count(), 6);
+        assert!(tail_text(&TraceDump::default(), 32).is_empty());
     }
 
     #[test]

@@ -85,7 +85,8 @@ pub enum TraceEventId {
     /// A fault plan fires (peer track). `a` = peer label, `b` = fault
     /// kind.
     FaultInjected = 8,
-    /// A session reaches Established (peer track). `a` = peer label.
+    /// A session reaches Established (peer track). `a` = peer label,
+    /// `b` = the peer's AS number.
     SessionUp = 9,
     /// A session leaves Established (peer track). `a` = peer label.
     SessionDown = 10,
@@ -193,7 +194,7 @@ impl TraceEventId {
             TraceEventId::ShardApply => ("shard", "prefixes"),
             TraceEventId::FsmTransition => ("peer", "from_to"),
             TraceEventId::FaultInjected => ("peer", "kind"),
-            TraceEventId::SessionUp => ("peer", "tick"),
+            TraceEventId::SessionUp => ("peer", "asn"),
             TraceEventId::SessionDown => ("peer", "tick"),
             TraceEventId::PolicyEval => ("direction", "permitted"),
         }
@@ -219,7 +220,7 @@ pub struct TraceEvent {
 
 /// Flight-recorder configuration: ring sizing plus the optional
 /// post-mortem dump destination the grid runner writes next to the
-/// panic journal.
+/// panic tail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Per-thread ring capacity, in events.
