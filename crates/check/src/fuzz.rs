@@ -24,18 +24,14 @@
 //! spans, zero spans — keeping whatever still fails) and reported as a
 //! hex string ready for [`run_reproducer`].
 //!
-//! The same machinery drives two further [`Target`]s: the `BGPBTRC1`
-//! binary trace-dump format (`fuzz-wire --target trace`), where the
-//! properties are parse-never-panics and dump→parse→dump fixpoint,
-//! and MRT dumps (`fuzz-wire --target mrt`), where [`MrtReader`] must
-//! never unwind and every decoded record must survive re-encode →
-//! re-decode structurally unchanged.
+//! The same machinery drives a second [`Target`]: MRT dumps
+//! (`fuzz-wire --target mrt`), where [`MrtReader`] must never unwind
+//! and every decoded record must survive re-encode → re-decode
+//! structurally unchanged.
 
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 
-use bgpbench_telemetry::trace::export;
-use bgpbench_telemetry::{TraceDump, TraceEvent, TraceEventId};
 use bgpbench_wire::mrt::{
     self, MrtError, MrtPeer, MrtReader, MrtRecord, PeerIndexTable, RibEntry, RibPrefix,
 };
@@ -53,8 +49,6 @@ use crate::corpus;
 pub enum Target {
     /// BGP wire messages through `Message::decode` / `StreamDecoder`.
     Wire,
-    /// `BGPBTRC1` binary trace dumps through `parse_binary`.
-    Trace,
     /// MRT dumps (TABLE_DUMP_V2 + BGP4MP) through [`MrtReader`].
     Mrt,
 }
@@ -64,7 +58,6 @@ impl Target {
     pub fn from_name(name: &str) -> Option<Target> {
         match name {
             "wire" => Some(Target::Wire),
-            "trace" => Some(Target::Trace),
             "mrt" => Some(Target::Mrt),
             _ => None,
         }
@@ -74,7 +67,6 @@ impl Target {
     pub fn name(self) -> &'static str {
         match self {
             Target::Wire => "wire",
-            Target::Trace => "trace",
             Target::Mrt => "mrt",
         }
     }
@@ -82,7 +74,6 @@ impl Target {
     fn seeds(self) -> Vec<Vec<u8>> {
         match self {
             Target::Wire => corpus::seed_bytes(),
-            Target::Trace => trace_seed_bytes(),
             Target::Mrt => mrt_seed_bytes(),
         }
     }
@@ -90,7 +81,6 @@ impl Target {
     fn check(self, bytes: &[u8]) -> Result<bool, Failure> {
         match self {
             Target::Wire => check_input(bytes),
-            Target::Trace => check_trace(bytes),
             Target::Mrt => check_mrt(bytes),
         }
     }
@@ -112,12 +102,6 @@ pub enum Failure {
     /// `encode_into` after existing bytes did not append exactly what
     /// `encode` returns.
     EncodeIntoDiverged,
-    /// `parse_binary` unwound on a trace-dump mutant.
-    TraceParsePanicked,
-    /// Parsed fine, re-dumped fine, but the second parse failed.
-    TraceReparseFailed(String),
-    /// The second parse produced a different dump.
-    TraceNotAFixpoint,
     /// [`MrtReader`] unwound on an MRT mutant.
     MrtDecodePanicked,
     /// An MRT record decoded fine, but re-encoding it unwound.
@@ -139,11 +123,6 @@ impl fmt::Display for Failure {
             Failure::EncodeIntoDiverged => {
                 write!(f, "encode_into after existing bytes differs from encode")
             }
-            Failure::TraceParsePanicked => write!(f, "trace parse_binary panicked"),
-            Failure::TraceReparseFailed(e) => {
-                write!(f, "parse of re-dumped trace bytes failed: {e}")
-            }
-            Failure::TraceNotAFixpoint => write!(f, "parse(dump(parse(bytes))) differs"),
             Failure::MrtDecodePanicked => write!(f, "MrtReader panicked"),
             Failure::MrtReencodePanicked => write!(f, "re-encode of decoded MRT record panicked"),
             Failure::MrtRedecodeFailed(e) => {
@@ -367,71 +346,6 @@ fn check_input(bytes: &[u8]) -> Result<bool, Failure> {
         || appended[bytes.len()..] != reencoded
     {
         return Err(Failure::EncodeIntoDiverged);
-    }
-    Ok(true)
-}
-
-/// Structurally valid trace-dump seeds: empty, single-thread, and a
-/// multi-thread dump touching every catalogued event id plus a
-/// nonzero drop counter.
-fn trace_seed_bytes() -> Vec<Vec<u8>> {
-    let ev = |id: TraceEventId, ts: u64, dur: u64, a: u64, b: u64| TraceEvent {
-        id,
-        ts_ns: ts,
-        dur_ns: dur,
-        virt_ns: ts / 2,
-        a,
-        b,
-    };
-    let empty = TraceDump::default();
-    let single = TraceDump {
-        threads: vec![bgpbench_telemetry::trace::ThreadTrace {
-            tid: 1,
-            dropped: 0,
-            events: vec![
-                ev(TraceEventId::PhaseMark, 10, 0, 1, 0),
-                ev(TraceEventId::CellStart, 20, 0, 2007, 4000),
-            ],
-        }],
-    };
-    let full = TraceDump {
-        threads: vec![
-            bgpbench_telemetry::trace::ThreadTrace {
-                tid: 1,
-                dropped: 0,
-                events: TraceEventId::ALL
-                    .iter()
-                    .enumerate()
-                    .map(|(i, id)| ev(*id, 100 + i as u64 * 10, (i as u64 % 3) * 500, i as u64, 1))
-                    .collect(),
-            },
-            bgpbench_telemetry::trace::ThreadTrace {
-                tid: 2,
-                dropped: 7,
-                events: vec![ev(TraceEventId::ShardBusy, 250, 900, 1, 7)],
-            },
-        ],
-    };
-    vec![
-        export::binary_dump(&empty),
-        export::binary_dump(&single),
-        export::binary_dump(&full),
-    ]
-}
-
-/// Checks one trace-dump input: `parse_binary` must never unwind, and
-/// a successfully parsed dump must survive dump→parse unchanged.
-fn check_trace(bytes: &[u8]) -> Result<bool, Failure> {
-    let parsed = panic::catch_unwind(AssertUnwindSafe(|| export::parse_binary(bytes)))
-        .map_err(|_| Failure::TraceParsePanicked)?;
-    let dump = match parsed {
-        Ok(dump) => dump,
-        Err(_) => return Ok(false),
-    };
-    let redumped = export::binary_dump(&dump);
-    let again = export::parse_binary(&redumped).map_err(Failure::TraceReparseFailed)?;
-    if again != dump {
-        return Err(Failure::TraceNotAFixpoint);
     }
     Ok(true)
 }
@@ -703,44 +617,10 @@ mod tests {
 
     #[test]
     fn target_names_round_trip() {
-        for target in [Target::Wire, Target::Trace, Target::Mrt] {
+        for target in [Target::Wire, Target::Mrt] {
             assert_eq!(Target::from_name(target.name()), Some(target));
         }
         assert_eq!(Target::from_name("bogus"), None);
-    }
-
-    #[test]
-    fn trace_seeds_are_valid_and_fixpoints() {
-        for (i, seed) in trace_seed_bytes().iter().enumerate() {
-            assert_eq!(
-                check_trace(seed),
-                Ok(true),
-                "trace seed {i} must parse and round-trip"
-            );
-        }
-    }
-
-    #[test]
-    fn trace_target_same_seed_same_outcome() {
-        let a = run_target(Target::Trace, 42, 500);
-        let b = run_target(Target::Trace, 42, 500);
-        assert_eq!(a.decoded_ok, b.decoded_ok);
-        assert_eq!(a.rejected, b.rejected);
-        assert_eq!(a.failure.is_none(), b.failure.is_none());
-    }
-
-    #[test]
-    fn trace_ci_configuration_is_clean() {
-        // The exact run CI performs; keep in sync with ci.yml.
-        let report = run_target(Target::Trace, 7, 10_000);
-        assert!(
-            report.failure.is_none(),
-            "trace fuzz failure: {}",
-            report.failure.unwrap()
-        );
-        assert_eq!(report.iterations, 10_000);
-        assert!(report.decoded_ok > 0, "no trace mutant survived parsing");
-        assert!(report.rejected > 0, "no trace mutant was rejected");
     }
 
     #[test]
@@ -785,18 +665,6 @@ mod tests {
             assert!(
                 outcome.is_ok(),
                 "truncation to {keep} bytes must not violate a property: {outcome:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn trace_truncation_is_rejected_not_panicking() {
-        let seed = trace_seed_bytes().remove(2);
-        for keep in 0..seed.len() {
-            assert_eq!(
-                check_trace(&seed[..keep]),
-                Ok(false),
-                "every truncation must be a typed rejection (kept {keep})"
             );
         }
     }

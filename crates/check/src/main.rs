@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! bgpbench-check lint [--root DIR] [--allow FILE] [--json]
-//! bgpbench-check fuzz-wire [--seed N] [--iters N] [--target wire|trace|mrt]
+//! bgpbench-check fuzz-wire [--seed N] [--iters N] [--target wire|mrt]
 //! bgpbench-check fuzz-wire --repro HEX
 //! bgpbench-check trace-schema PATH
 //! bgpbench-check races [--seeded]        (needs --features check-sync)
@@ -51,7 +51,7 @@ fn print_usage() {
     eprintln!(
         "usage:\n  \
          bgpbench-check lint [--root DIR] [--allow FILE] [--json]\n  \
-         bgpbench-check fuzz-wire [--seed N] [--iters N] [--target wire|trace|mrt]\n  \
+         bgpbench-check fuzz-wire [--seed N] [--iters N] [--target wire|mrt]\n  \
          bgpbench-check fuzz-wire --repro HEX\n  \
          bgpbench-check trace-schema PATH\n  \
          bgpbench-check races [--seeded]"
@@ -245,7 +245,7 @@ fn run_fuzz(args: &[String]) -> ExitCode {
     let target = match fuzz::Target::from_name(flag_value(args, "--target").unwrap_or("wire")) {
         Some(target) => target,
         None => {
-            eprintln!("--target expects `wire`, `trace`, or `mrt`");
+            eprintln!("--target expects `wire` or `mrt`");
             return ExitCode::from(2);
         }
     };

@@ -214,62 +214,14 @@ pub struct HopResult {
 /// given platform.
 ///
 /// Each hop ingests the table (Phase 1) and re-exports it toward the
-/// next hop (Phase 2); the AS path grows by one per hop, exactly as it
-/// would across real ASes. The total is the time between the first
-/// router hearing the table and the last router finishing it — the
-/// network-level consequence of the per-router rates in Table III,
-/// and the paper's §V.C warning quantified: slow control planes
-/// compound across the topology.
+/// next hop (Phase 2), and hop k's actual export messages (attributes
+/// re-written, AS path prepended by hop k's AS) become hop k+1's input
+/// stream, exactly as they would cross a real inter-router session.
+/// The total is the time between the first router hearing the table
+/// and the last router finishing it — the network-level consequence
+/// of the per-router rates in Table III, and the paper's §V.C warning
+/// quantified: slow control planes compound across the topology.
 pub fn chain_convergence(
-    platform: &PlatformSpec,
-    hops: usize,
-    prefixes: usize,
-    seed: u64,
-) -> Vec<HopResult> {
-    assert!(hops >= 1, "a chain needs at least one hop");
-    let table = TableGenerator::new(seed).generate(prefixes);
-    let n = prefixes as u64;
-    (1..=hops)
-        .map(|hop| {
-            // At hop k the routes arrive with a path already k-1 ASes
-            // longer (each predecessor prepended itself).
-            let mut router = SimRouter::new(platform);
-            let updates = workload::announcements(
-                &table,
-                &workload::AnnounceSpec {
-                    speaker_asn: Asn(65000 + hop as u16),
-                    path_len: 2 + hop,
-                    next_hop: Ipv4Addr::new(10, 0, 0, 2),
-                    prefixes_per_update: workload::LARGE_PACKET_PREFIXES,
-                    seed,
-                },
-            );
-            router.load_script(SPEAKER_1, SpeakerScript::new(updates));
-            let ingest = router
-                .run_until_transactions(n, 7200.0)
-                .expect("hop ingest must complete");
-            // Phase 2 toward the next hop.
-            router.queue_export(bgpbench_models::SPEAKER_2, 500);
-            let export_start = router.now_secs();
-            router
-                .run_until_exports(n, 7200.0)
-                .expect("hop export must complete");
-            let export = router.now_secs() - export_start;
-            HopResult {
-                hop,
-                secs: ingest + export,
-            }
-        })
-        .collect()
-}
-
-/// Like [`chain_convergence`], but with *real message passing*: hop
-/// k's actual Phase-2 export messages (attributes re-written, AS path
-/// prepended by hop k's AS) become hop k+1's input stream, exactly as
-/// they would cross a real inter-router session. The approximate
-/// variant synthesizes each hop's input instead; this one validates
-/// it.
-pub fn chain_convergence_real(
     platform: &PlatformSpec,
     hops: usize,
     prefixes: usize,
@@ -416,7 +368,7 @@ mod tests {
     fn real_chain_passes_actual_messages_and_grows_paths() {
         let hops = 3;
         let prefixes = 200;
-        let results = chain_convergence_real(&xeon(), hops, prefixes, 7);
+        let results = chain_convergence(&xeon(), hops, prefixes, 7);
         assert_eq!(results.len(), hops);
         for hop in &results {
             assert!(hop.secs > 0.0);
@@ -454,20 +406,6 @@ mod tests {
         // Original 3 ASes plus one prepend per hop.
         assert_eq!(path.length(), 3 + hops);
         assert_eq!(path.first_as(), Some(Asn(64000 + hops as u16)));
-    }
-
-    #[test]
-    fn real_and_approximate_chains_agree_on_timing() {
-        let approx = chain_convergence(&xeon(), 2, 300, 7);
-        let real = chain_convergence_real(&xeon(), 2, 300, 7);
-        let total = |hops: &[HopResult]| hops.iter().map(|h| h.secs).sum::<f64>();
-        let a = total(&approx);
-        let r = total(&real);
-        let ratio = r / a;
-        assert!(
-            (0.8..1.25).contains(&ratio),
-            "real chain {r:.2}s vs approximate {a:.2}s (ratio {ratio:.2})"
-        );
     }
 
     #[test]

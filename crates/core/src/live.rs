@@ -125,14 +125,11 @@ fn run_phases(
             format!("{scenario} needs {needs}"),
         ))
     };
-    match scenario.operation() {
-        BgpOperation::SessionChurn => {
-            return unsupported("the simulated topology engine, not a live daemon")
-        }
-        BgpOperation::ExportRewrite | BgpOperation::MedOscillation => {
-            return unsupported("route-map configuration, which the live daemon lacks")
-        }
-        _ => {}
+    if scenario.operation() == BgpOperation::SessionChurn {
+        return unsupported("the simulated topology engine, not a live daemon");
+    }
+    if scenario.policy().is_some() {
+        return unsupported("route-map configuration, which the live daemon lacks");
     }
     let mut source = scenario
         .workload()
@@ -235,6 +232,19 @@ mod tests {
         // Phase 3 replaced every route: installs from phase 1 plus the
         // replacements.
         assert_eq!(snapshot.rib.fib_installs, 1000);
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn policy_scenarios_are_refused_live() {
+        // S13 is an incremental change through an import filter: run
+        // without its filter it would silently be S8.
+        let daemon = BgpDaemon::start(DaemonConfig::default()).unwrap();
+        for scenario in [Scenario::S13, Scenario::S14, Scenario::S15] {
+            let err = run_live_scenario(&daemon, scenario, &quick_config()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::Unsupported, "{scenario}: {err}");
+        }
+        assert_eq!(daemon.snapshot().transactions, 0);
         daemon.shutdown();
     }
 

@@ -1,20 +1,15 @@
-//! Forwarding information base and data-plane pipeline.
-//!
-//! This crate implements the *data plane* side of the benchmarked
-//! routers:
+//! Forwarding information base: the table the control plane installs
+//! its best routes into.
 //!
 //! * [`CompressedTrie`] — a path-compressed (Patricia) trie keyed by
 //!   IPv4 prefixes supporting longest-prefix-match lookup, rooted at
 //!   the /16 and stored in a chunked arena;
 //! * [`Fib`] — the forwarding table proper (backed by that trie),
 //!   mapping prefixes to next hops, with a generation counter so the
-//!   control plane can observe update visibility;
-//! * [`Ipv4Header`] and the RFC 1071/1624 checksum helpers
-//!   ([`internet_checksum`], [`incremental_update`]);
-//! * [`Forwarder`] — an RFC 1812-compliant forwarding pipeline
-//!   (validate → TTL decrement → incremental checksum → LPM lookup)
-//!   with per-port statistics, used to carry the benchmark's
-//!   cross-traffic.
+//!   control plane can observe update visibility.
+//!
+//! No packet is forwarded: the paper's cross-traffic is modelled as
+//! interrupt and kernel cycles in `models::crosstraffic`.
 //!
 //! # Examples
 //!
@@ -33,14 +28,8 @@
 
 #![forbid(unsafe_code)]
 
-mod checksum;
 mod compressed;
 mod fib;
-mod forwarder;
-mod packet;
 
-pub use checksum::{incremental_update, internet_checksum};
 pub use compressed::CompressedTrie;
 pub use fib::{Fib, NextHop};
-pub use forwarder::{DropReason, ForwardDecision, Forwarder, ForwarderStats};
-pub use packet::{Ipv4Header, PacketError, IPV4_HEADER_LEN};

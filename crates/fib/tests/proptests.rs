@@ -1,11 +1,10 @@
 //! Property-based and differential tests: the oracle trie against a
-//! naive reference, `CompressedTrie` against the oracle, and checksum
-//! invariants.
+//! naive reference and `CompressedTrie` against the oracle.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use bgpbench_fib::{incremental_update, internet_checksum, CompressedTrie};
+use bgpbench_fib::CompressedTrie;
 use bgpbench_speaker::ModernTableGenerator;
 use bgpbench_wire::Prefix;
 use proptest::prelude::*;
@@ -166,49 +165,6 @@ proptest! {
         }
         prop_assert_eq!(trie.heap_bytes(), bytes);
         prop_assert_eq!(contents(trie.iter()), held);
-    }
-
-    #[test]
-    fn checksum_detects_single_word_changes(
-        data in prop::collection::vec(any::<u8>(), 2..64),
-        word_index in any::<prop::sample::Index>(),
-        delta in 1u16..=u16::MAX,
-    ) {
-        let mut data = data;
-        if data.len() % 2 == 1 {
-            data.push(0);
-        }
-        let original = internet_checksum(&data);
-        let words = data.len() / 2;
-        let idx = word_index.index(words) * 2;
-        let old_word = u16::from_be_bytes([data[idx], data[idx + 1]]);
-        let new_word = old_word.wrapping_add(delta);
-        data[idx..idx + 2].copy_from_slice(&new_word.to_be_bytes());
-        let recomputed = internet_checksum(&data);
-        let patched = incremental_update(original, old_word, new_word);
-        // RFC 1624: the incremental update must agree with a full
-        // recompute up to the 0x0000/0xFFFF one's-complement ambiguity.
-        let canonical = |sum: u16| if sum == 0xFFFF { 0x0000 } else { sum };
-        prop_assert_eq!(canonical(patched), canonical(recomputed));
-    }
-
-    #[test]
-    fn checksum_is_order_sensitive_only_across_words(
-        words in prop::collection::vec(any::<u16>(), 1..32)
-    ) {
-        // One's-complement addition is commutative: permuting the words
-        // must not change the checksum.
-        let mut data = Vec::new();
-        for w in &words {
-            data.extend_from_slice(&w.to_be_bytes());
-        }
-        let mut reversed_words = words.clone();
-        reversed_words.reverse();
-        let mut reversed = Vec::new();
-        for w in &reversed_words {
-            reversed.extend_from_slice(&w.to_be_bytes());
-        }
-        prop_assert_eq!(internet_checksum(&data), internet_checksum(&reversed));
     }
 }
 

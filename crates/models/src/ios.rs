@@ -81,8 +81,7 @@ impl IosPipeline {
             RouteChange::Unchanged if is_withdrawal => self.costs.withdraw,
             RouteChange::Unchanged
             | RouteChange::RejectedByPolicy
-            | RouteChange::RejectedAsLoop
-            | RouteChange::Dampened => self.costs.nochange,
+            | RouteChange::RejectedAsLoop => self.costs.nochange,
         }
     }
 

@@ -151,8 +151,7 @@ impl XorpPipeline {
                 RouteChange::Unchanged
                 | RouteChange::WithdrawnUnknown
                 | RouteChange::RejectedByPolicy
-                | RouteChange::RejectedAsLoop
-                | RouteChange::Dampened => {}
+                | RouteChange::RejectedAsLoop => {}
             }
             if let Some(directive) = outcome.fib {
                 let (user, kernel) = match (&directive, outcome.change) {

@@ -18,7 +18,6 @@ use bgpbench_telemetry::{self as telemetry, MetricId, SpanId};
 use bgpbench_wire::{Asn, Prefix, RouterId, UpdateMessage};
 
 use crate::attr_store::AttrStore;
-use crate::damping::{DampingConfig, FlapKind, RouteDamper};
 use crate::decision::{compare_routes, DecisionConfig};
 use crate::fxhash::FxHashMap;
 use crate::policy::RouteMap;
@@ -318,10 +317,6 @@ pub enum RouteChange {
     /// The AS path contained the local AS (loop prevention,
     /// RFC 4271 §9.1.2).
     RejectedAsLoop,
-    /// Route-flap damping suppressed the announcement (RFC 2439); the
-    /// route is withheld until its penalty decays below the reuse
-    /// threshold.
-    Dampened,
 }
 
 /// The forwarding-table write a [`PrefixOutcome`] requires, if any.
@@ -371,8 +366,6 @@ pub struct RibStats {
     pub policy_rejected: u64,
     /// Routes rejected by AS-loop detection.
     pub loop_rejected: u64,
-    /// Announcements suppressed by route-flap damping.
-    pub dampened: u64,
     /// Distinct attribute sets currently interned by the engine's
     /// store (a point-in-time size, not a running count).
     pub attr_store_entries: u64,
@@ -397,7 +390,6 @@ pub struct RibEngine {
     rib: FxHashMap<Prefix, PrefixEntry>,
     attr_store: AttrStore,
     stats: RibStats,
-    damper: Option<RouteDamper>,
 }
 
 impl RibEngine {
@@ -414,31 +406,7 @@ impl RibEngine {
             rib: FxHashMap::default(),
             attr_store: AttrStore::new(),
             stats: RibStats::default(),
-            damper: None,
         }
-    }
-
-    /// Enables route-flap damping (RFC 2439).
-    ///
-    /// Semantics in this engine (a documented simplification of the
-    /// RFC): withdrawals and attribute changes accrue penalty; while a
-    /// (peer, prefix) is suppressed, announcements for it are refused
-    /// admission to the Adj-RIB-In (reported as
-    /// [`RouteChange::Dampened`]); withdrawals are always processed.
-    /// Penalties decay against the timestamps passed to
-    /// [`RibEngine::apply_update_at`].
-    pub fn enable_damping(&mut self, config: DampingConfig) {
-        self.damper = Some(RouteDamper::new(config));
-    }
-
-    /// Disables route-flap damping, forgetting all penalties.
-    pub fn disable_damping(&mut self) {
-        self.damper = None;
-    }
-
-    /// Whether damping is enabled.
-    pub fn damping_enabled(&self) -> bool {
-        self.damper.is_some()
     }
 
     /// Replaces the decision configuration.
@@ -590,10 +558,6 @@ impl RibEngine {
     /// announcements, per RFC 4271 §3.1. Returns one outcome per
     /// prefix, in message order.
     ///
-    /// Equivalent to [`RibEngine::apply_update_at`] at time zero —
-    /// fine while damping is disabled; with damping enabled, pass real
-    /// timestamps so penalties decay.
-    ///
     /// # Errors
     ///
     /// Returns [`RibError::UnknownPeer`] for an unregistered peer and
@@ -604,31 +568,16 @@ impl RibEngine {
         peer: PeerId,
         update: &UpdateMessage,
     ) -> Result<Vec<PrefixOutcome>, RibError> {
-        self.apply_update_at(peer, update, 0.0)
-    }
-
-    /// [`RibEngine::apply_update`] with an explicit clock (seconds)
-    /// against which route-flap damping penalties decay.
-    ///
-    /// # Errors
-    ///
-    /// As for [`RibEngine::apply_update`].
-    pub fn apply_update_at(
-        &mut self,
-        peer: PeerId,
-        update: &UpdateMessage,
-        now_secs: f64,
-    ) -> Result<Vec<PrefixOutcome>, RibError> {
         // The disabled path pays one relaxed load and a predicted
         // branch; everything else (spans, the host clock, counter
         // deltas) lives behind it.
         if telemetry::disabled() {
-            return self.apply_update_inner(peer, update, now_secs);
+            return self.apply_update_inner(peer, update);
         }
         let _span = telemetry::span(SpanId::RibApplyUpdate);
         let start = std::time::Instant::now();
         let attrs_before = self.attr_store.stats();
-        let result = self.apply_update_inner(peer, update, now_secs);
+        let result = self.apply_update_inner(peer, update);
         record_apply_telemetry(
             update,
             start.elapsed().as_nanos() as u64,
@@ -641,24 +590,23 @@ impl RibEngine {
         result
     }
 
-    /// The uninstrumented body of [`RibEngine::apply_update_at`].
+    /// The uninstrumented body of [`RibEngine::apply_update`].
     fn apply_update_inner(
         &mut self,
         peer: PeerId,
         update: &UpdateMessage,
-        now_secs: f64,
     ) -> Result<Vec<PrefixOutcome>, RibError> {
         if !self.peers.contains_key(&peer) {
             return Err(RibError::UnknownPeer(peer.0));
         }
         self.stats.updates += 1;
         let mut outcomes = Vec::with_capacity(update.transaction_count());
-        self.apply_withdrawals(peer, update.withdrawn(), now_secs, &mut outcomes);
+        self.apply_withdrawals(peer, update.withdrawn(), &mut outcomes);
         if update.nlri().is_empty() {
             return Ok(outcomes);
         }
         let attrs = RouteAttributes::from_wire(update.attributes())?;
-        self.apply_announcements(peer, update.nlri(), attrs, now_secs, &mut outcomes);
+        self.apply_announcements(peer, update.nlri(), attrs, &mut outcomes);
         Ok(outcomes)
     }
 
@@ -671,22 +619,10 @@ impl RibEngine {
         &mut self,
         peer: PeerId,
         withdrawn: &[Prefix],
-        now_secs: f64,
         outcomes: &mut Vec<PrefixOutcome>,
     ) {
         for prefix in withdrawn {
             self.stats.withdrawals += 1;
-            if self.damper.is_some() {
-                let had_route = self
-                    .rib
-                    .get(prefix)
-                    .is_some_and(|entry| entry.get(peer).is_some());
-                if had_route {
-                    if let Some(damper) = &mut self.damper {
-                        damper.record_flap(peer, *prefix, FlapKind::Withdraw, now_secs);
-                    }
-                }
-            }
             outcomes.push(self.withdraw_one(peer, *prefix));
         }
     }
@@ -701,7 +637,6 @@ impl RibEngine {
         peer: PeerId,
         nlri: &[Prefix],
         attrs: RouteAttributes,
-        now_secs: f64,
         outcomes: &mut Vec<PrefixOutcome>,
     ) {
         // Loop prevention applies to the whole attribute set.
@@ -731,29 +666,6 @@ impl RibEngine {
 
         for prefix in nlri {
             self.stats.announcements += 1;
-            // Flap accounting and suppression check (RFC 2439).
-            if let Some(damper) = &mut self.damper {
-                let existing = self.rib.get(prefix).and_then(|entry| entry.get(peer));
-                let kind = match existing {
-                    // Stored routes are interned, so pointer inequality
-                    // is value inequality.
-                    Some(old) if !Arc::ptr_eq(old, &interned) => Some(FlapKind::AttributeChange),
-                    Some(_) => None, // identical re-announcement: no flap
-                    None => Some(FlapKind::Reannounce),
-                };
-                if let Some(kind) = kind {
-                    damper.record_flap(peer, *prefix, kind, now_secs);
-                }
-                if damper.is_suppressed(peer, prefix, now_secs) {
-                    self.stats.dampened += 1;
-                    outcomes.push(PrefixOutcome {
-                        prefix: *prefix,
-                        change: RouteChange::Dampened,
-                        fib: None,
-                    });
-                    continue;
-                }
-            }
             let final_attrs = if permit_all {
                 Some(interned.clone())
             } else {
@@ -782,7 +694,7 @@ impl RibEngine {
             outcomes.push(outcome);
         }
         // Drop the batch's working reference; if nothing admitted the
-        // set (all dampened/rejected), this evicts it from the store.
+        // set (all rejected), this evicts it from the store.
         self.attr_store.release(interned);
     }
 
@@ -983,9 +895,9 @@ impl RibEngine {
 }
 
 /// Records the per-update metrics, counter deltas and gauges for one
-/// applied UPDATE. Shared by
-/// [`RibEngine::apply_update_at`] and the sharded engine's fan-out
-/// path so both emit an identical telemetry shape.
+/// applied UPDATE. Shared by [`RibEngine::apply_update`] and the
+/// sharded engine's fan-out path so both emit an identical telemetry
+/// shape.
 pub(crate) fn record_apply_telemetry(
     update: &UpdateMessage,
     host_ns: u64,
@@ -1019,7 +931,6 @@ pub(crate) fn record_apply_telemetry(
                 RouteChange::Installed | RouteChange::Replaced { .. } | RouteChange::Withdrawn => {
                     telemetry::incr(MetricId::RibBestChanged);
                 }
-                RouteChange::Dampened => telemetry::incr(MetricId::RibDampened),
                 RouteChange::Unchanged
                 | RouteChange::WithdrawnUnknown
                 | RouteChange::RejectedByPolicy
@@ -1413,59 +1324,6 @@ mod tests {
             .unwrap();
         let exported = engine.export_routes(p2, Ipv4Addr::new(10, 0, 0, 1));
         assert!(Arc::ptr_eq(&exported[0].1, &exported[1].1));
-    }
-
-    #[test]
-    fn damping_suppresses_flapping_routes() {
-        use crate::DampingConfig;
-        let (mut engine, p1, _) = engine_with_two_peers();
-        engine.enable_damping(DampingConfig::default());
-        assert!(engine.damping_enabled());
-        let ann = announce(&[65001], HOP1, &["10.0.0.0/8"]);
-        let wd = withdraw(&["10.0.0.0/8"]);
-        // Flap hard: each withdrawal adds 1000 penalty; after the
-        // third withdrawal the penalty (~3000) exceeds the suppress
-        // threshold (2000), so the next announcement is refused.
-        engine.apply_update_at(p1, &ann, 0.0).unwrap();
-        engine.apply_update_at(p1, &wd, 1.0).unwrap();
-        engine.apply_update_at(p1, &ann, 2.0).unwrap();
-        engine.apply_update_at(p1, &wd, 3.0).unwrap();
-        engine.apply_update_at(p1, &ann, 4.0).unwrap();
-        engine.apply_update_at(p1, &wd, 5.0).unwrap();
-        let outcomes = engine.apply_update_at(p1, &ann, 6.0).unwrap();
-        assert_eq!(outcomes[0].change, RouteChange::Dampened);
-        assert!(engine.loc_rib().is_empty());
-        assert_eq!(engine.stats().dampened, 1);
-
-        // After several half-lives (default 900 s) the penalty decays
-        // below the reuse threshold and the route is accepted again.
-        let outcomes = engine.apply_update_at(p1, &ann, 6.0 + 4.0 * 900.0).unwrap();
-        assert_eq!(outcomes[0].change, RouteChange::Installed);
-        assert_eq!(engine.loc_rib().len(), 1);
-    }
-
-    #[test]
-    fn damping_ignores_stable_routes() {
-        use crate::DampingConfig;
-        let (mut engine, p1, p2) = engine_with_two_peers();
-        engine.enable_damping(DampingConfig::default());
-        // A stable route announced once, plus a losing alternative:
-        // no flaps, nothing suppressed.
-        engine
-            .apply_update_at(p1, &announce(&[65001], HOP1, &["10.0.0.0/8"]), 0.0)
-            .unwrap();
-        let outcomes = engine
-            .apply_update_at(p2, &announce(&[65002, 9, 9], HOP2, &["10.0.0.0/8"]), 1.0)
-            .unwrap();
-        assert_eq!(outcomes[0].change, RouteChange::Unchanged);
-        assert_eq!(engine.stats().dampened, 0);
-        // Identical re-announcement adds no penalty.
-        let outcomes = engine
-            .apply_update_at(p1, &announce(&[65001], HOP1, &["10.0.0.0/8"]), 2.0)
-            .unwrap();
-        assert_eq!(outcomes[0].change, RouteChange::Unchanged);
-        engine.disable_damping();
-        assert!(!engine.damping_enabled());
     }
 
     #[test]

@@ -43,7 +43,6 @@
 
 mod adj_out;
 mod attr_store;
-mod damping;
 mod decision;
 mod engine;
 mod error;
@@ -54,7 +53,6 @@ mod shard;
 
 pub use adj_out::{AdjRibOut, ExportAction, OutboundUpdate};
 pub use attr_store::{AttrStore, AttrStoreStats};
-pub use damping::{DampingConfig, FlapKind, RouteDamper};
 pub use decision::{compare_routes, DecisionConfig};
 pub use engine::{AdjRibIn, FibDirective, LocRib, PrefixOutcome, RibEngine, RibStats, RouteChange};
 pub use error::RibError;

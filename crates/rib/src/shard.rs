@@ -24,9 +24,9 @@
 //!   next outcome from whichever shard owns each prefix, which
 //!   reconstructs the single-engine outcome stream exactly.
 //! * **Per-prefix results.** A prefix's entire history lands on one
-//!   shard (the hash depends only on the prefix), so the routes,
-//!   damping penalties, and decision inputs that shard sees are
-//!   precisely the single engine's state restricted to its prefixes.
+//!   shard (the hash depends only on the prefix), so the routes and
+//!   decision inputs that shard sees are precisely the single engine's
+//!   state restricted to its prefixes.
 //! * **Exports.** [`ShardedRibEngine::export_routes`] concatenates the
 //!   per-shard exports and re-sorts by prefix — the same prefix order
 //!   the single engine produces. Equal attribute sets from different
@@ -46,7 +46,6 @@ use bgpbench_telemetry::{self as telemetry, SpanId, TraceEventId};
 use bgpbench_wire::{Asn, Prefix, RouterId, UpdateMessage};
 
 use crate::attr_store::AttrStoreStats;
-use crate::damping::DampingConfig;
 use crate::decision::DecisionConfig;
 use crate::engine::{
     record_apply_telemetry, record_train_telemetry, PrefixOutcome, RibEngine, RibStats,
@@ -103,7 +102,6 @@ pub struct ShardedRibEngine {
     config: DecisionConfig,
     import_policy: RouteMap,
     export_policy: RouteMap,
-    damping: Option<DampingConfig>,
     peers: Vec<PeerInfo>,
 }
 
@@ -120,14 +118,13 @@ impl ShardedRibEngine {
             config: DecisionConfig::default(),
             import_policy: RouteMap::permit_all(),
             export_policy: RouteMap::permit_all(),
-            damping: None,
             peers: Vec::new(),
         }
     }
 
     /// Repartitions the engine into `shards` shards, rebuilding each
     /// from the configured template (decision config, policies,
-    /// damping config, registered peers).
+    /// registered peers).
     ///
     /// # Panics
     ///
@@ -156,9 +153,6 @@ impl ShardedRibEngine {
         engine.set_decision_config(self.config);
         engine.set_import_policy(self.import_policy.clone());
         engine.set_export_policy(self.export_policy.clone());
-        if let Some(config) = self.damping {
-            engine.enable_damping(config);
-        }
         for info in &self.peers {
             engine.add_peer(*info);
         }
@@ -187,29 +181,6 @@ impl ShardedRibEngine {
 
     fn loc_rib_is_empty(&self) -> bool {
         self.shards.iter().all(|shard| shard.loc_rib().is_empty())
-    }
-
-    /// Enables route-flap damping on every shard (see
-    /// [`RibEngine::enable_damping`]). Damping state is per
-    /// (peer, prefix) and therefore partitions with the prefixes.
-    pub fn enable_damping(&mut self, config: DampingConfig) {
-        self.damping = Some(config);
-        for shard in &mut self.shards {
-            shard.enable_damping(config);
-        }
-    }
-
-    /// Disables route-flap damping, forgetting all penalties.
-    pub fn disable_damping(&mut self) {
-        self.damping = None;
-        for shard in &mut self.shards {
-            shard.disable_damping();
-        }
-    }
-
-    /// Whether damping is enabled.
-    pub fn damping_enabled(&self) -> bool {
-        self.damping.is_some()
     }
 
     /// Replaces the decision configuration on every shard.
@@ -359,7 +330,6 @@ impl ShardedRibEngine {
             merged.fib_removes += stats.fib_removes;
             merged.policy_rejected += stats.policy_rejected;
             merged.loop_rejected += stats.loop_rejected;
-            merged.dampened += stats.dampened;
         }
         merged.attr_store_entries = self.attr_store_len() as u64;
         let mut groups: FxHashSet<&RouteAttributes> = FxHashSet::default();
@@ -411,21 +381,6 @@ impl ShardedRibEngine {
         peer: PeerId,
         update: &UpdateMessage,
     ) -> Result<Vec<PrefixOutcome>, RibError> {
-        self.apply_update_at(peer, update, 0.0)
-    }
-
-    /// [`ShardedRibEngine::apply_update`] with an explicit clock
-    /// (seconds) against which route-flap damping penalties decay.
-    ///
-    /// # Errors
-    ///
-    /// As for [`RibEngine::apply_update`].
-    pub fn apply_update_at(
-        &mut self,
-        peer: PeerId,
-        update: &UpdateMessage,
-        now_secs: f64,
-    ) -> Result<Vec<PrefixOutcome>, RibError> {
         if self.shards.len() == 1 {
             // Wholesale delegation: telemetry, error paths, and stats
             // all come from the single engine unmodified. The flight
@@ -436,15 +391,15 @@ impl ShardedRibEngine {
                 0,
                 update.transaction_count() as u64,
             );
-            return self.shards[0].apply_update_at(peer, update, now_secs);
+            return self.shards[0].apply_update(peer, update);
         }
         if telemetry::disabled() {
-            return self.fan_out_update(peer, update, now_secs);
+            return self.fan_out_update(peer, update);
         }
         let _span = telemetry::span(SpanId::RibApplyUpdate);
         let start = std::time::Instant::now();
         let attrs_before = self.attr_store_stats();
-        let result = self.fan_out_update(peer, update, now_secs);
+        let result = self.fan_out_update(peer, update);
         record_apply_telemetry(
             update,
             start.elapsed().as_nanos() as u64,
@@ -465,7 +420,6 @@ impl ShardedRibEngine {
         &mut self,
         peer: PeerId,
         update: &UpdateMessage,
-        now_secs: f64,
     ) -> Result<Vec<PrefixOutcome>, RibError> {
         if !self.knows_peer(peer) {
             return Err(RibError::UnknownPeer(peer.0));
@@ -484,12 +438,7 @@ impl ShardedRibEngine {
                     index as u64,
                     prefixes.len() as u64,
                 );
-                self.shards[index].apply_withdrawals(
-                    peer,
-                    prefixes,
-                    now_secs,
-                    &mut per_shard[index],
-                );
+                self.shards[index].apply_withdrawals(peer, prefixes, &mut per_shard[index]);
             }
         }
         if update.nlri().is_empty() {
@@ -515,7 +464,6 @@ impl ShardedRibEngine {
                     peer,
                     prefixes,
                     attrs.clone(),
-                    now_secs,
                     &mut per_shard[index],
                 );
             }
@@ -536,9 +484,6 @@ impl ShardedRibEngine {
     /// take the rest; one fork/join per *train*, not per update, is
     /// what lets 4 shards pay off even at sub-microsecond per-update
     /// cost.
-    ///
-    /// Runs at clock zero, like [`ShardedRibEngine::apply_update`] —
-    /// damping users should feed timestamped updates one at a time.
     ///
     /// # Errors
     ///
@@ -643,11 +588,11 @@ impl ShardedRibEngine {
             for (index, (withdrawn, nlri)) in batches.iter().enumerate() {
                 let mut outcomes = Vec::with_capacity(withdrawn.len() + nlri.len());
                 if !withdrawn.is_empty() {
-                    engine.apply_withdrawals(peer, withdrawn, 0.0, &mut outcomes);
+                    engine.apply_withdrawals(peer, withdrawn, &mut outcomes);
                 }
                 if !nlri.is_empty() {
                     if let Some(attrs) = &decoded[index] {
-                        engine.apply_announcements(peer, nlri, attrs.clone(), 0.0, &mut outcomes);
+                        engine.apply_announcements(peer, nlri, attrs.clone(), &mut outcomes);
                     }
                 }
                 per_update.push(outcomes);

@@ -22,9 +22,9 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use bgpbench_rib::{
-    compare_routes, DampingConfig, DecisionConfig, FibDirective, FlapKind, MatchClause, PeerId,
-    PeerInfo, PrefixList, PrefixMatch, PrefixOutcome, RibEngine, RibStats, RouteAttributes,
-    RouteChange, RouteDamper, RouteMap, RouteMapEntry, SetClause, ShardedRibEngine,
+    compare_routes, DecisionConfig, FibDirective, MatchClause, PeerId, PeerInfo, PrefixList,
+    PrefixMatch, PrefixOutcome, RibEngine, RibStats, RouteAttributes, RouteChange, RouteMap,
+    RouteMapEntry, SetClause, ShardedRibEngine,
 };
 use bgpbench_wire::{AsPath, Asn, Origin, Prefix, RouterId, UpdateMessage};
 use proptest::prelude::*;
@@ -39,12 +39,11 @@ struct RefEngine {
     peers: Vec<PeerInfo>,
     adj_in: BTreeMap<PeerId, BTreeMap<Prefix, RouteAttributes>>,
     loc_rib: BTreeMap<Prefix, (PeerId, RouteAttributes)>,
-    damper: Option<RouteDamper>,
     stats: RibStats,
 }
 
 impl RefEngine {
-    fn new(peers: Vec<PeerInfo>, policy: RouteMap, damping: Option<DampingConfig>) -> Self {
+    fn new(peers: Vec<PeerInfo>, policy: RouteMap) -> Self {
         let adj_in = peers
             .iter()
             .map(|info| (info.id(), BTreeMap::new()))
@@ -56,7 +55,6 @@ impl RefEngine {
             peers,
             adj_in,
             loc_rib: BTreeMap::new(),
-            damper: damping.map(RouteDamper::new),
             stats: RibStats::default(),
         }
     }
@@ -65,23 +63,12 @@ impl RefEngine {
         self.peers.iter().find(|info| info.id() == peer).unwrap()
     }
 
-    fn apply_update_at(
-        &mut self,
-        peer: PeerId,
-        update: &UpdateMessage,
-        now_secs: f64,
-    ) -> Vec<PrefixOutcome> {
+    fn apply_update(&mut self, peer: PeerId, update: &UpdateMessage) -> Vec<PrefixOutcome> {
         self.stats.updates += 1;
         let mut outcomes = Vec::new();
 
         for prefix in update.withdrawn() {
             self.stats.withdrawals += 1;
-            let had_route = self.adj_in[&peer].contains_key(prefix);
-            if had_route {
-                if let Some(damper) = &mut self.damper {
-                    damper.record_flap(peer, *prefix, FlapKind::Withdraw, now_secs);
-                }
-            }
             outcomes.push(self.withdraw_one(peer, *prefix));
         }
 
@@ -104,26 +91,6 @@ impl RefEngine {
 
         for prefix in update.nlri() {
             self.stats.announcements += 1;
-            if let Some(damper) = &mut self.damper {
-                let existing = self.adj_in[&peer].get(prefix);
-                let kind = match existing {
-                    Some(old) if old != &attrs => Some(FlapKind::AttributeChange),
-                    Some(_) => None,
-                    None => Some(FlapKind::Reannounce),
-                };
-                if let Some(kind) = kind {
-                    damper.record_flap(peer, *prefix, kind, now_secs);
-                }
-                if damper.is_suppressed(peer, prefix, now_secs) {
-                    self.stats.dampened += 1;
-                    outcomes.push(PrefixOutcome {
-                        prefix: *prefix,
-                        change: RouteChange::Dampened,
-                        fib: None,
-                    });
-                    continue;
-                }
-            }
             let outcome = match self.policy.evaluate(prefix, attrs.clone()) {
                 Some(final_attrs) => {
                     self.adj_in
@@ -318,14 +285,13 @@ fn arb_attrs() -> impl Strategy<Value = RouteAttributes> {
 
 /// One step of an update stream: a subset of the prefix pool announced
 /// with one attribute set from the pool, another subset withdrawn, from
-/// one peer, some time after the previous step.
+/// one peer.
 #[derive(Debug, Clone)]
 struct Op {
     peer: usize,
     attr: prop::sample::Index,
     announce_mask: u8,
     withdraw_mask: u8,
-    dt_secs: f64,
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
@@ -335,14 +301,12 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             any::<prop::sample::Index>(),
             any::<u8>(),
             any::<u8>(),
-            0.0..30.0f64,
         )
-            .prop_map(|(peer, attr, announce_mask, withdraw_mask, dt_secs)| Op {
+            .prop_map(|(peer, attr, announce_mask, withdraw_mask)| Op {
                 peer,
                 attr,
                 announce_mask,
                 withdraw_mask,
-                dt_secs,
             }),
         1..32,
     )
@@ -386,7 +350,6 @@ fn check_equivalence(
     prefix_pool: &[Prefix],
     ops: &[Op],
     policy: RouteMap,
-    damping: Option<DampingConfig>,
 ) -> Result<(), TestCaseError> {
     let peers = peer_pool();
     let mut real = ShardedRibEngine::new(LOCAL_ASN, RouterId(1));
@@ -395,23 +358,18 @@ fn check_equivalence(
     }
     real.set_shards(shards);
     real.set_import_policy(policy.clone());
-    if let Some(config) = damping {
-        real.enable_damping(config);
-    }
-    let mut reference = RefEngine::new(peers.clone(), policy, damping);
+    let mut reference = RefEngine::new(peers.clone(), policy);
 
-    let mut now = 0.0f64;
-    for op in ops {
-        now += op.dt_secs;
+    for (step, op) in ops.iter().enumerate() {
         let peer = peers[op.peer].id();
         let attrs = &attr_pool[op.attr.index(attr_pool.len())];
         let announce = masked(prefix_pool, op.announce_mask);
         let withdraw = masked(prefix_pool, op.withdraw_mask);
         let update = build_message(attrs, &announce, &withdraw);
 
-        let got = real.apply_update_at(peer, &update, now).unwrap();
-        let want = reference.apply_update_at(peer, &update, now);
-        prop_assert_eq!(&got, &want, "outcomes diverge at t={}", now);
+        let got = real.apply_update(peer, &update).unwrap();
+        let want = reference.apply_update(peer, &update);
+        prop_assert_eq!(&got, &want, "outcomes diverge at step {}", step);
     }
 
     // Loc-RIB: same prefixes, same selected peer, same attribute values.
@@ -469,7 +427,7 @@ fn test_policy() -> RouteMap {
 }
 
 proptest! {
-    /// Permit-all policy, no damping: the pure interned fast path.
+    /// Permit-all policy: the pure interned fast path.
     #[test]
     fn interned_engine_matches_reference(
         shards in arb_shards(),
@@ -477,14 +435,7 @@ proptest! {
         prefix_pool in arb_prefix_pool(),
         ops in arb_ops(),
     ) {
-        check_equivalence(
-            shards,
-            &attr_pool,
-            &prefix_pool,
-            &ops,
-            RouteMap::permit_all(),
-            None,
-        )?;
+        check_equivalence(shards, &attr_pool, &prefix_pool, &ops, RouteMap::permit_all())?;
     }
 
     /// A rewriting/rejecting policy exercises the intern-after-policy
@@ -497,27 +448,7 @@ proptest! {
         prefix_pool in arb_prefix_pool(),
         ops in arb_ops(),
     ) {
-        check_equivalence(shards, &attr_pool, &prefix_pool, &ops, test_policy(), None)?;
-    }
-
-    /// Damping on: flap-kind classification via pointer identity must
-    /// match the reference's value comparisons, with each shard's
-    /// damper seeing exactly its own prefixes' flap history.
-    #[test]
-    fn interned_engine_matches_reference_with_damping(
-        shards in arb_shards(),
-        attr_pool in prop::collection::vec(arb_attrs(), 2..5),
-        prefix_pool in arb_prefix_pool(),
-        ops in arb_ops(),
-    ) {
-        check_equivalence(
-            shards,
-            &attr_pool,
-            &prefix_pool,
-            &ops,
-            RouteMap::permit_all(),
-            Some(DampingConfig::default()),
-        )?;
+        check_equivalence(shards, &attr_pool, &prefix_pool, &ops, test_policy())?;
     }
 
     /// A whole train through the batch API must be indistinguishable
@@ -544,8 +475,8 @@ proptest! {
         };
         let mut train = build();
         let mut sequential = build();
-        // Trains run at clock zero from one peer, so damping and the
-        // ops' peer/dt fields stay out of this property.
+        // A train comes from one peer, so the ops' peer field stays
+        // out of this property.
         let peer = peers[0].id();
         let updates: Vec<UpdateMessage> = ops
             .iter()
@@ -600,9 +531,7 @@ proptest! {
         let mut fast = build(RouteMap::permit_all());
         let mut slow = build(RouteMap::new([RouteMapEntry::permit(10)]));
 
-        let mut now = 0.0f64;
-        for op in &ops {
-            now += op.dt_secs;
+        for (step, op) in ops.iter().enumerate() {
             let peer = peers[op.peer].id();
             let attrs = &attr_pool[op.attr.index(attr_pool.len())];
             let update = build_message(
@@ -610,9 +539,9 @@ proptest! {
                 &masked(&prefix_pool, op.announce_mask),
                 &masked(&prefix_pool, op.withdraw_mask),
             );
-            let a = fast.apply_update_at(peer, &update, now).unwrap();
-            let b = slow.apply_update_at(peer, &update, now).unwrap();
-            prop_assert_eq!(&a, &b, "outcomes diverge at t={}", now);
+            let a = fast.apply_update(peer, &update).unwrap();
+            let b = slow.apply_update(peer, &update).unwrap();
+            prop_assert_eq!(&a, &b, "outcomes diverge at step {}", step);
         }
         prop_assert_eq!(fast.stats(), slow.stats());
         prop_assert_eq!(fast.loc_rib().len(), slow.loc_rib().len());

@@ -1,4 +1,4 @@
-//! Trace export: Chrome trace-event JSON and a compact binary dump.
+//! Trace export: Chrome trace-event JSON and a plain-text tail.
 //!
 //! The JSON form targets the [Trace Event Format] consumed by Perfetto
 //! and `chrome://tracing`: an object with a `traceEvents` array whose
@@ -23,7 +23,7 @@
 
 use std::fmt::Write as _;
 
-use super::{ThreadTrace, TraceDump, TraceEvent, TraceEventId, TraceKind, TraceTrack};
+use super::{TraceDump, TraceEvent, TraceKind, TraceTrack};
 
 /// `pid` stamped on every exported event; the whole benchmark is one
 /// process.
@@ -254,131 +254,10 @@ pub fn validate_chrome_json(text: &str) -> Result<ChromeTraceStats, String> {
     Ok(stats)
 }
 
-/// Binary dump magic: `BGPBTRC` + format version.
-pub const BINARY_MAGIC: &[u8; 8] = b"BGPBTRC1";
-
-const FIELD_NAMES: [&str; 6] = ["id", "ts_ns", "dur_ns", "virt_ns", "a", "b"];
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Serializes a [`TraceDump`] as a compact self-describing binary
-/// blob: magic, a field-name table (so a reader can interpret the
-/// fixed-width little-endian records without this crate's source),
-/// then per-thread event records.
-pub fn binary_dump(dump: &TraceDump) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + dump.total_events() * 48);
-    out.extend_from_slice(BINARY_MAGIC);
-    out.push(FIELD_NAMES.len() as u8);
-    for name in FIELD_NAMES {
-        out.push(name.len() as u8);
-        out.extend_from_slice(name.as_bytes());
-    }
-    push_u32(&mut out, dump.threads.len() as u32);
-    for thread in &dump.threads {
-        push_u32(&mut out, thread.tid);
-        push_u64(&mut out, thread.dropped);
-        push_u32(&mut out, thread.events.len() as u32);
-        for e in &thread.events {
-            push_u64(&mut out, e.id as u64);
-            push_u64(&mut out, e.ts_ns);
-            push_u64(&mut out, e.dur_ns);
-            push_u64(&mut out, e.virt_ns);
-            push_u64(&mut out, e.a);
-            push_u64(&mut out, e.b);
-        }
-    }
-    out
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let slice = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| format!("truncated at byte {}", self.pos))?;
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
-    }
-}
-
-/// Parses a blob produced by [`binary_dump`].
-pub fn parse_binary(buf: &[u8]) -> Result<TraceDump, String> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.take(BINARY_MAGIC.len())? != BINARY_MAGIC {
-        return Err("bad magic".into());
-    }
-    let n_fields = r.u8()? as usize;
-    if n_fields != FIELD_NAMES.len() {
-        return Err(format!("unsupported field count {n_fields}"));
-    }
-    for expect in FIELD_NAMES {
-        let len = r.u8()? as usize;
-        let name = r.take(len)?;
-        if name != expect.as_bytes() {
-            return Err(format!("unexpected field table entry, wanted {expect}"));
-        }
-    }
-    let n_threads = r.u32()? as usize;
-    let mut threads = Vec::with_capacity(n_threads.min(1024));
-    for _ in 0..n_threads {
-        let tid = r.u32()?;
-        let dropped = r.u64()?;
-        let n_events = r.u32()? as usize;
-        let mut events = Vec::with_capacity(n_events.min(1 << 20));
-        for _ in 0..n_events {
-            let raw_id = r.u64()?;
-            let id = TraceEventId::ALL
-                .get(raw_id as usize)
-                .copied()
-                .ok_or_else(|| format!("unknown trace event id {raw_id}"))?;
-            events.push(TraceEvent {
-                id,
-                ts_ns: r.u64()?,
-                dur_ns: r.u64()?,
-                virt_ns: r.u64()?,
-                a: r.u64()?,
-                b: r.u64()?,
-            });
-        }
-        threads.push(ThreadTrace {
-            tid,
-            dropped,
-            events,
-        });
-    }
-    Ok(TraceDump { threads })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{ThreadTrace, TraceEventId};
 
     fn sample_dump() -> TraceDump {
         let ev = |id: TraceEventId, ts: u64, dur: u64, a: u64, b: u64| TraceEvent {
@@ -458,18 +337,5 @@ mod tests {
         let bad_ph =
             "{\"traceEvents\":[\n{\"name\":\"x\",\"ph\":\"Z\",\"ts\":0,\"pid\":1,\"tid\":1}\n]}";
         assert!(validate_chrome_json(bad_ph).is_err());
-    }
-
-    #[test]
-    fn binary_round_trips() {
-        let dump = sample_dump();
-        let blob = binary_dump(&dump);
-        assert_eq!(&blob[..8], BINARY_MAGIC);
-        let parsed = parse_binary(&blob).expect("round trip");
-        assert_eq!(parsed, dump);
-        assert!(
-            parse_binary(&blob[..blob.len() - 1]).is_err(),
-            "truncation detected"
-        );
     }
 }

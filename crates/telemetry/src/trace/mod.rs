@@ -33,8 +33,8 @@
 //!
 //! [`drain`](crate::trace_dump) snapshots every thread's ring into a
 //! [`TraceDump`]; the [`export`] module renders that as Chrome
-//! trace-event JSON (loadable in Perfetto or `chrome://tracing`) or a
-//! compact self-describing binary blob.
+//! trace-event JSON (loadable in Perfetto or `chrome://tracing`) or as
+//! a plain-text tail of the newest events.
 
 pub mod export;
 

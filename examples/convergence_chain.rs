@@ -9,7 +9,7 @@
 //! cargo run --release --example convergence_chain
 //! ```
 
-use bgpbench::bench::extensions::chain_convergence_real;
+use bgpbench::bench::extensions::chain_convergence;
 use bgpbench::models::all_platforms;
 
 const HOPS: usize = 4;
@@ -25,7 +25,7 @@ fn main() {
         "platform", "hop 1", "hop 2", "hop 3", "hop 4", "total"
     );
     for platform in all_platforms() {
-        let hops = chain_convergence_real(&platform, HOPS, PREFIXES, 2007);
+        let hops = chain_convergence(&platform, HOPS, PREFIXES, 2007);
         let total: f64 = hops.iter().map(|h| h.secs).sum();
         print!("{:<13}", platform.name);
         for hop in &hops {

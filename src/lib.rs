@@ -13,7 +13,7 @@
 //! |---|---|---|
 //! | [`wire`] | `bgpbench-wire` | RFC 4271 messages, path attributes, prefixes, stream framing |
 //! | [`rib`] | `bgpbench-rib` | Adj-RIB-In / Loc-RIB / Adj-RIB-Out, decision process, policy |
-//! | [`fib`] | `bgpbench-fib` | LPM trie, IPv4 header/checksum, RFC 1812 forwarder |
+//! | [`fib`] | `bgpbench-fib` | LPM trie and next-hop table the RIB installs into |
 //! | [`simnet`] | `bgpbench-simnet` | deterministic tick-based CPU/scheduler simulator |
 //! | [`models`] | `bgpbench-models` | the four platform models (Pentium III, Xeon, IXP2400, Cisco 3620) |
 //! | [`speaker`] | `bgpbench-speaker` | workload generation, scripted and live speakers |
