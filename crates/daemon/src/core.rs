@@ -1,10 +1,18 @@
 //! The daemon's shared routing core: one lock around the RIB engine,
-//! the shadow FIB, and per-peer advertisement state.
+//! the shadow FIB, and the sessions' staged output.
 //!
 //! Holding a single lock across "apply update → update FIB → stage
 //! advertisements" gives every peer a consistent, totally-ordered view
 //! — the same serialization point the `xorp_rib` process provides in
 //! the paper's software routers.
+//!
+//! Export keeps no per-peer table. The engine hands the core each
+//! prefix's best route before and after the change while it still holds
+//! the entry; the core writes the FIB from that and keeps one [`Change`]
+//! row per prefix whose best moved, and [`Core::propagate`] derives every
+//! peer's announcements and withdrawals from those rows alone. A stored
+//! Adj-RIB-Out would only ever hold "the exported best, unless I am its
+//! source" (DESIGN.md §14.2), which the rows already say.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -13,10 +21,10 @@ use std::sync::Arc;
 use crossbeam::channel::Sender;
 
 use bgpbench_fib::{Fib, NextHop};
-use bgpbench_rib::fxhash::FxHashMap;
+use bgpbench_rib::fxhash::{FxHashMap, FxHashSet};
 use bgpbench_rib::{
     AdjRibOut, ExportAction, FibDirective, OutboundUpdate, PeerId, PeerInfo, PrefixOutcome,
-    RibEngine, RibError, RibStats, RouteAttributes,
+    RibEngine, RibError, RibStats, RouteAttributes, RouteChange,
 };
 use bgpbench_telemetry::{self as telemetry, MetricId, SpanId, TraceEventId};
 use bgpbench_wire::{Prefix, UpdateMessage};
@@ -74,7 +82,6 @@ pub struct PeerSnapshot {
 /// Everything the core keeps about one established session.
 #[derive(Debug)]
 struct Peer {
-    adj_out: AdjRibOut,
     writer: Sender<Vec<u8>>,
     stats: PeerSnapshot,
     /// Encoded UPDATEs not yet handed to `writer`. Empty whenever the
@@ -85,6 +92,7 @@ struct Peer {
 impl Peer {
     /// Packetizes `actions` and encodes the UPDATEs onto `staged`.
     fn stage(&mut self, actions: &[ExportAction], max_prefixes_per_update: usize) {
+        telemetry::add(MetricId::AdjOutActions, actions.len() as u64);
         let before = self.stats.updates_out;
         AdjRibOut::packetize(actions, max_prefixes_per_update, |update| {
             self.stage_update(update);
@@ -120,12 +128,149 @@ impl Peer {
     }
 }
 
+/// One prefix whose selected route an engine call changed: every peer's
+/// export action for it follows from this row alone.
+#[derive(Debug)]
+struct Change {
+    prefix: Prefix,
+    /// The source of the best route before, and whether that route
+    /// exports the same attributes as the best after.
+    before: Option<(PeerId, bool)>,
+    /// The best route after: its source and attributes — the engine's
+    /// interned set, which [`Core::propagate`] swaps for the exported
+    /// one.
+    after: Option<(PeerId, Arc<RouteAttributes>)>,
+}
+
+/// The core's side of one engine call, handed each prefix while the
+/// engine still holds it: writes the FIB, counts the transactions and
+/// records a [`Change`] for every prefix whose best moved.
+struct Decisions<'a> {
+    fib: &'a mut Fib,
+    changes: &'a mut Vec<Change>,
+    /// Whether any session is left to export to; without one, no row
+    /// is kept (a teardown's fallout can be a whole table).
+    export: bool,
+    /// Prefixes the UPDATE both withdraws and announces (RFC 4271 §4.3
+    /// allows it), each with the row of its first step and the
+    /// attributes before it, once that step has come. All their steps
+    /// fold into that row, so a peer is told the net change once, at the
+    /// prefix's first place in the message.
+    repeated: FxHashMap<Prefix, Option<(usize, Option<RouteAttributes>)>>,
+    transactions: usize,
+}
+
+impl<'a> Decisions<'a> {
+    /// For applying `update`, if given; for a teardown otherwise.
+    fn new(
+        fib: &'a mut Fib,
+        changes: &'a mut Vec<Change>,
+        export: bool,
+        update: Option<&UpdateMessage>,
+    ) -> Self {
+        let mut repeated = FxHashMap::default();
+        if let Some(update) = update.filter(|u| !u.withdrawn().is_empty() && !u.nlri().is_empty()) {
+            let withdrawn: FxHashSet<Prefix> = update.withdrawn().iter().copied().collect();
+            repeated = update
+                .nlri()
+                .iter()
+                .filter(|prefix| withdrawn.contains(prefix))
+                .map(|prefix| (*prefix, None))
+                .collect();
+        }
+        Decisions {
+            fib,
+            changes,
+            export,
+            repeated,
+            transactions: 0,
+        }
+    }
+
+    /// The engine's sink (see [`bgpbench_rib::DecisionSink`]).
+    fn record(
+        &mut self,
+        outcome: PrefixOutcome,
+        before: Option<(PeerId, &RouteAttributes)>,
+        after: Option<(PeerId, &Arc<RouteAttributes>)>,
+    ) {
+        self.transactions += 1;
+        match outcome.fib {
+            Some(FibDirective::Install { prefix, next_hop }) => {
+                telemetry::incr(MetricId::FibInstalls);
+                self.fib.insert(prefix, NextHop::new(next_hop, 0));
+            }
+            Some(FibDirective::Remove { prefix }) => {
+                telemetry::incr(MetricId::FibRemoves);
+                self.fib.remove(&prefix);
+            }
+            None => {}
+        }
+        if !self.export {
+            return;
+        }
+        let kept_after = || after.map(|(source, attrs)| (source, Arc::clone(attrs)));
+        let repeated = if self.repeated.is_empty() {
+            None
+        } else {
+            self.repeated.get_mut(&outcome.prefix)
+        };
+        if let Some(first) = repeated {
+            match first {
+                Some((row, _)) => self.changes[*row].after = kept_after(),
+                None => {
+                    *first = Some((self.changes.len(), before.map(|(_, attrs)| attrs.clone())));
+                    self.changes.push(Change {
+                        prefix: outcome.prefix,
+                        before: before.map(|(source, _)| (source, false)),
+                        after: kept_after(),
+                    });
+                }
+            }
+            return;
+        }
+        // Any other step that leaves the best as it was has nothing to
+        // tell anyone.
+        if !matches!(
+            outcome.change,
+            RouteChange::Installed | RouteChange::Replaced { .. } | RouteChange::Withdrawn
+        ) {
+            return;
+        }
+        self.changes.push(Change {
+            prefix: outcome.prefix,
+            before: before.map(|(source, attrs)| {
+                let equal = after.is_some_and(|(_, after)| attrs.exports_equal(after));
+                (source, equal)
+            }),
+            after: kept_after(),
+        });
+    }
+
+    /// Settles the folded rows' export equality against their final
+    /// best, and returns the call's transaction count.
+    fn finish(self) -> usize {
+        for (row, before) in self.repeated.into_values().flatten() {
+            let change = &mut self.changes[row];
+            if let (Some((_, equal)), Some(before), Some((_, after))) =
+                (&mut change.before, &before, &change.after)
+            {
+                *equal = before.exports_equal(after);
+            }
+        }
+        self.transactions
+    }
+}
+
 #[derive(Debug)]
 pub(crate) struct Core {
     config: DaemonConfig,
     engine: RibEngine,
     fib: Fib,
     peers: BTreeMap<PeerId, Peer>,
+    /// What the last engine call changed, for [`Core::propagate`]; empty
+    /// between calls, and reused so its capacity is too.
+    changes: Vec<Change>,
     next_peer: u32,
     stats: CoreStats,
 }
@@ -143,8 +288,9 @@ impl Batch<'_> {
     ///
     /// # Errors
     ///
-    /// The engine's rejection of the UPDATE (RFC 4271 §6.3); nothing
-    /// was applied, and the session layer owes the peer a NOTIFICATION.
+    /// The engine's rejection of the UPDATE (RFC 4271 §6.3); the
+    /// session layer owes the peer a NOTIFICATION. Only the UPDATE's
+    /// withdrawals were applied, and they have been propagated.
     pub(crate) fn apply_update(
         &mut self,
         peer: PeerId,
@@ -153,8 +299,8 @@ impl Batch<'_> {
         self.core.apply_update_from(peer, update)
     }
 
-    /// Handles a ROUTE-REFRESH request (RFC 2918): resets the peer's
-    /// Adj-RIB-Out and re-advertises the full table.
+    /// Handles a ROUTE-REFRESH request (RFC 2918): re-advertises the
+    /// full table.
     pub(crate) fn refresh(&mut self, peer: PeerId) {
         self.core.advertise_table(peer);
     }
@@ -174,6 +320,7 @@ impl Core {
             engine,
             fib: Fib::new(),
             peers: BTreeMap::new(),
+            changes: Vec::new(),
             next_peer: 1,
             stats: CoreStats::default(),
         }
@@ -223,7 +370,6 @@ impl Core {
         self.peers.insert(
             id,
             Peer {
-                adj_out: AdjRibOut::new(),
                 writer,
                 stats,
                 staged: Vec::new(),
@@ -242,100 +388,109 @@ impl Core {
             telemetry::incr(MetricId::SessionsClosed);
             telemetry::trace_instant(TraceEventId::SessionDown, u64::from(peer.0), 0);
         }
-        if let Ok(outcomes) = self.engine.remove_peer(peer) {
-            self.apply_fib(&outcomes);
-            self.propagate(outcomes.iter().map(|o| o.prefix));
+        let export = !self.peers.is_empty();
+        let mut decisions = Decisions::new(&mut self.fib, &mut self.changes, export, None);
+        let removed = self
+            .engine
+            .remove_peer_with(peer, |outcome, before, after| {
+                decisions.record(outcome, before, after);
+            });
+        decisions.finish();
+        if removed.is_ok() {
+            self.fib_gauges();
+            self.propagate();
             self.flush();
         }
     }
 
     fn apply_update_from(&mut self, peer: PeerId, update: &UpdateMessage) -> Result<(), RibError> {
-        let outcomes = self.engine.apply_update(peer, update)?;
+        let export = !self.peers.is_empty();
+        let mut decisions = Decisions::new(&mut self.fib, &mut self.changes, export, Some(update));
+        let applied = self
+            .engine
+            .apply_update_with(peer, update, |outcome, before, after| {
+                decisions.record(outcome, before, after);
+            });
+        let transactions = decisions.finish();
+        self.fib_gauges();
+        self.propagate();
+        applied?;
         self.stats.updates_received += 1;
-        self.stats.transactions += outcomes.len() as u64;
+        self.stats.transactions += transactions as u64;
         if let Some(peer) = self.peers.get_mut(&peer) {
             peer.stats.updates_in += 1;
-            peer.stats.prefixes_in += outcomes.len() as u64;
+            peer.stats.prefixes_in += transactions as u64;
         }
-        self.apply_fib(&outcomes);
-        self.propagate(outcomes.iter().map(|o| o.prefix));
-        if outcomes.len() >= EAGER_FLUSH_TRANSACTIONS {
+        if transactions >= EAGER_FLUSH_TRANSACTIONS {
             self.flush();
         }
         Ok(())
     }
 
-    /// Carries out the forwarding-table writes `outcomes` call for.
-    fn apply_fib(&mut self, outcomes: &[PrefixOutcome]) {
-        let _span = telemetry::span(SpanId::FibApply);
-        for outcome in outcomes {
-            match outcome.fib {
-                Some(FibDirective::Install { prefix, next_hop }) => {
-                    telemetry::incr(MetricId::FibInstalls);
-                    self.fib.insert(prefix, NextHop::new(next_hop, 0));
-                }
-                Some(FibDirective::Remove { prefix }) => {
-                    telemetry::incr(MetricId::FibRemoves);
-                    self.fib.remove(&prefix);
-                }
-                None => {}
-            }
-        }
+    fn fib_gauges(&self) {
         telemetry::gauge(MetricId::FibNodes, self.fib.node_count() as u64);
         telemetry::gauge(MetricId::FibBytes, self.fib.heap_bytes() as u64);
     }
 
-    /// Re-syncs the advertisement state of `prefixes` toward every
-    /// established peer and stages the resulting UPDATEs.
-    fn propagate(&mut self, prefixes: impl Iterator<Item = Prefix>) {
+    /// Stages, toward every established peer, what the last engine
+    /// call's changes mean for it, and clears them. Peer P *had* a
+    /// prefix's route iff there was a best before and P was not its
+    /// source, and *should have* it iff there is a best after and P is
+    /// not its source. P is sent the route when it should have it,
+    /// unless it had one that exports the same; it is sent a withdrawal
+    /// when it had the route and should not.
+    fn propagate(&mut self) {
         let _span = telemetry::span(SpanId::DaemonPropagate);
         telemetry::incr(MetricId::DaemonPropagateRounds);
-        // What to advertise for a prefix is the same toward every peer
-        // but the one it was learned from, so each prefix's best route
-        // is looked up once, here, not once per peer. Its exported form
-        // (own AS prepended, next hop rewritten) is peer-independent
-        // too, and the engine interns attribute sets, so one cache keyed
-        // on pointer identity covers every prefix of the round. This
-        // also keeps Adj-RIB-Out grouping on the pointer fast path.
-        let loc_rib = self.engine.loc_rib();
+        // The exported form of a best (own AS prepended, next hop
+        // rewritten) is the same toward every peer, and the engine
+        // interns attribute sets, so one cache keyed on pointer identity
+        // exports each set once per round. The rows hold every set they
+        // key alive until it is swapped, and the engine frees none
+        // here, so no key's address is reused meanwhile. Shared exported
+        // sets also keep packetization's grouping on its pointer path.
         let mut exported: FxHashMap<*const RouteAttributes, Arc<RouteAttributes>> =
             FxHashMap::default();
-        let resolved: Vec<_> = prefixes
-            .map(|prefix| {
-                let best = loc_rib.best(&prefix).map(|(learned_from, attrs)| {
-                    let exported = exported.entry(Arc::as_ptr(attrs)).or_insert_with(|| {
-                        Arc::new(attrs.exported(self.config.local_asn, self.config.next_hop))
-                    });
-                    (learned_from, Arc::clone(exported))
-                });
-                (prefix, best)
-            })
-            .collect();
+        for change in &mut self.changes {
+            if let Some((_, attrs)) = &mut change.after {
+                *attrs = Arc::clone(exported.entry(Arc::as_ptr(attrs)).or_insert_with(|| {
+                    Arc::new(attrs.exported(self.config.local_asn, self.config.next_hop))
+                }));
+            }
+        }
         let mut actions: Vec<ExportAction> = Vec::new();
         for (&id, peer) in &mut self.peers {
             actions.clear();
-            for (prefix, best) in &resolved {
-                let desired = match best {
-                    // Never advertise a route back to its source.
-                    Some((learned_from, attrs)) if *learned_from != id => Some(Arc::clone(attrs)),
-                    _ => None,
-                };
-                actions.extend(peer.adj_out.sync_prefix(*prefix, desired));
+            for change in &self.changes {
+                let had = change.before.filter(|(source, _)| *source != id);
+                let should = change.after.as_ref().filter(|(source, _)| *source != id);
+                match (had, should) {
+                    (Some((_, true)), Some(_)) | (None, None) => {}
+                    (_, Some((_, attrs))) => {
+                        actions.push(ExportAction::Announce(change.prefix, Arc::clone(attrs)));
+                    }
+                    (Some(_), None) => actions.push(ExportAction::Withdraw(change.prefix)),
+                }
             }
             if !actions.is_empty() {
                 peer.stage(&actions, self.config.export_prefixes_per_update);
             }
         }
+        self.changes.clear();
     }
 
-    /// Resets `peer`'s Adj-RIB-Out and stages the full table toward it.
+    /// Stages the full table toward `peer`: every Loc-RIB best it is not
+    /// the source of, exported, in prefix order.
     fn advertise_table(&mut self, id: PeerId) {
         let Some(peer) = self.peers.get_mut(&id) else {
             return;
         };
-        let routes = self.engine.export_routes(id, self.config.next_hop);
-        peer.adj_out = AdjRibOut::new();
-        let actions = peer.adj_out.sync(routes);
+        let actions: Vec<ExportAction> = self
+            .engine
+            .export_routes(id, self.config.next_hop)
+            .into_iter()
+            .map(|(prefix, attrs)| ExportAction::Announce(prefix, attrs))
+            .collect();
         peer.stage(&actions, self.config.export_prefixes_per_update);
     }
 
@@ -394,6 +549,10 @@ mod tests {
         Prefix::new_masked(Ipv4Addr::from(0x0B00_0000 | n), 32).unwrap()
     }
 
+    fn hosts(range: std::ops::Range<u32>) -> Vec<Prefix> {
+        range.map(host).collect()
+    }
+
     /// One UPDATE announcing the given hosts.
     fn announce(hosts: std::ops::Range<u32>) -> UpdateMessage {
         update(&[65001], 0..0, hosts)
@@ -409,21 +568,34 @@ mod tests {
     }
 
     /// One UPDATE withdrawing and announcing the given hosts, the
-    /// announcements over `path`.
+    /// announcements over `path` via 127.0.0.1.
     fn update(
         path: &[u16],
         withdraw: std::ops::Range<u32>,
         announce: std::ops::Range<u32>,
     ) -> UpdateMessage {
-        UpdateMessage::builder()
+        update_via(path, Ipv4Addr::LOCALHOST, None, withdraw, announce)
+    }
+
+    /// [`update`] with the announcements' NEXT_HOP and MED given.
+    fn update_via(
+        path: &[u16],
+        next_hop: Ipv4Addr,
+        med: Option<u32>,
+        withdraw: std::ops::Range<u32>,
+        announce: std::ops::Range<u32>,
+    ) -> UpdateMessage {
+        let mut builder = UpdateMessage::builder()
             .withdraw_all(withdraw.map(host))
             .attribute(PathAttribute::Origin(Origin::Igp))
             .attribute(PathAttribute::AsPath(AsPath::from_sequence(
                 path.iter().copied().map(Asn),
             )))
-            .attribute(PathAttribute::NextHop(Ipv4Addr::new(127, 0, 0, 1)))
-            .announce_all(announce.map(host))
-            .build()
+            .attribute(PathAttribute::NextHop(next_hop));
+        if let Some(med) = med {
+            builder = builder.attribute(PathAttribute::Med(med));
+        }
+        builder.announce_all(announce.map(host)).build()
     }
 
     /// The prefixes withdrawn and announced in a byte stream.
@@ -442,9 +614,18 @@ mod tests {
         (withdrawn, announced)
     }
 
-    /// What propagating `prefixes` must send `peer`, the plain way: one
-    /// Loc-RIB lookup per prefix for this peer alone, owned messages,
-    /// each encoded on its own.
+    /// `actions` as the owned messages the reference sends, encoded.
+    fn encoded(core: &Core, actions: &[ExportAction]) -> Vec<u8> {
+        AdjRibOut::to_updates(actions, core.config().export_prefixes_per_update)
+            .into_iter()
+            .flat_map(|update| Message::Update(update).encode().unwrap())
+            .collect()
+    }
+
+    /// What propagating `prefixes` must send `peer`, the stored way:
+    /// one Loc-RIB lookup per prefix for this peer alone, synced into
+    /// the peer's own Adj-RIB-Out, owned messages, each encoded on its
+    /// own.
     fn reference_bytes(
         core: &Core,
         peer: PeerId,
@@ -466,47 +647,76 @@ mod tests {
                 adj_out.sync_prefix(*prefix, desired)
             })
             .collect();
-        AdjRibOut::to_updates(&actions, config.export_prefixes_per_update)
-            .into_iter()
-            .flat_map(|update| Message::Update(update).encode().unwrap())
+        encoded(core, &actions)
+    }
+
+    /// What one session was told, decoded: (withdrawn, announced).
+    type Told = (Vec<Prefix>, Vec<Prefix>);
+
+    fn drain(rx: &Receiver<Vec<u8>>) -> Vec<u8> {
+        std::iter::from_fn(|| rx.try_recv().ok())
+            .flatten()
             .collect()
     }
 
-    #[test]
-    fn each_peer_is_sent_the_best_route_unless_it_is_the_source() {
-        let mut core = Core::new(DaemonConfig::default());
-        let (a, a_rx) = register(&mut core, 65001);
-        let (b, b_rx) = register(&mut core, 65002);
-        let (observer, observer_rx) = register(&mut core, 65003);
-        let peers = [(a, &a_rx), (b, &b_rx), (observer, &observer_rx)];
-        let mut reference = [AdjRibOut::new(), AdjRibOut::new(), AdjRibOut::new()];
+    /// A core and its sessions as the test sees them: each session's
+    /// writer, and its reference Adj-RIB-Out.
+    struct Net {
+        core: Core,
+        sessions: Vec<(PeerId, Receiver<Vec<u8>>, AdjRibOut)>,
+    }
 
-        // Applies one UPDATE, checks every peer's bytes against the
-        // reference, and returns what each was told, decoded.
-        let mut step = |core: &mut Core, from: PeerId, update: UpdateMessage| {
-            core.batch().apply_update(from, &update).unwrap();
+    impl Net {
+        fn new(asns: &[u16]) -> Self {
+            let mut core = Core::new(DaemonConfig::default());
+            let sessions = asns
+                .iter()
+                .map(|&asn| {
+                    let (id, rx) = register(&mut core, asn);
+                    (id, rx, AdjRibOut::new())
+                })
+                .collect();
+            Net { core, sessions }
+        }
+
+        /// Checks every session's bytes against the reference for
+        /// `prefixes`, the input's prefixes in order, and returns what
+        /// each was told.
+        fn check(&mut self, prefixes: &[Prefix]) -> Vec<Told> {
+            let core = &self.core;
+            self.sessions
+                .iter_mut()
+                .map(|(id, rx, reference)| {
+                    let delivered = drain(rx);
+                    let expected = reference_bytes(core, *id, reference, prefixes);
+                    assert_eq!(delivered, expected, "bytes sent to {id:?}");
+                    changes(&delivered)
+                })
+                .collect()
+        }
+
+        /// Applies one UPDATE and checks every session's bytes.
+        fn step(&mut self, from: PeerId, update: UpdateMessage) -> Vec<Told> {
+            self.core.batch().apply_update(from, &update).unwrap();
             let prefixes: Vec<Prefix> = update
                 .withdrawn()
                 .iter()
                 .chain(update.nlri())
                 .copied()
                 .collect();
-            let mut told = Vec::new();
-            for ((peer, rx), adj_out) in peers.iter().zip(&mut reference) {
-                let delivered: Vec<u8> = std::iter::from_fn(|| rx.try_recv().ok())
-                    .flatten()
-                    .collect();
-                let expected = reference_bytes(core, *peer, adj_out, &prefixes);
-                assert_eq!(delivered, expected, "bytes sent to {peer:?}");
-                told.push(changes(&delivered));
-            }
-            told
-        };
-        let hosts = |range: std::ops::Range<u32>| range.map(host).collect::<Vec<_>>();
-        let nothing = (Vec::new(), Vec::new());
+            self.check(&prefixes)
+        }
+    }
+
+    #[test]
+    fn each_peer_is_sent_the_best_route_unless_it_is_the_source() {
+        let mut net = Net::new(&[65001, 65002, 65003]);
+        let [a, b, observer] = [0, 1, 2].map(|i| net.sessions[i].0);
+        let nothing: Told = (Vec::new(), Vec::new());
+        let told_nothing = vec![nothing.clone(); 3];
 
         // A is the only source of 1..5.
-        let told = step(&mut core, a, update(&[65001, 64999], 0..0, 1..5));
+        let told = net.step(a, update(&[65001, 64999], 0..0, 1..5));
         assert_eq!(told[0], nothing);
         assert_eq!(told[1], (vec![], hosts(1..5)));
         assert_eq!(told[2], (vec![], hosts(1..5)));
@@ -514,23 +724,102 @@ mod tests {
         // B brings a shorter path for 3 and 4, and 5 and 6 besides. A,
         // no longer the source of 3 and 4, is sent their replacement; B,
         // now their source, has A's routes to them withdrawn.
-        let told = step(&mut core, b, update(&[65002], 0..0, 3..7));
+        let told = net.step(b, update(&[65002], 0..0, 3..7));
         assert_eq!(told[0], (vec![], hosts(3..7)));
         assert_eq!(told[1], (hosts(3..5), vec![]));
         assert_eq!(told[2], (vec![], hosts(3..7)));
 
         // A withdraws 1, 2 and 3: 1 and 2 are gone, 3 stays B's.
-        let told = step(&mut core, a, update(&[], 1..4, 0..0));
+        let told = net.step(a, update(&[], 1..4, 0..0));
         assert_eq!(told[0], nothing);
         assert_eq!(told[1], (hosts(1..3), vec![]));
         assert_eq!(told[2], (hosts(1..3), vec![]));
 
         // B withdraws 4 and 5: 4 falls back to A's path, so the roles
         // swap again; 5 is gone.
-        let told = step(&mut core, b, update(&[], 4..6, 0..0));
+        let told = net.step(b, update(&[], 4..6, 0..0));
         assert_eq!(told[0], (hosts(4..6), vec![]));
         assert_eq!(told[1], (vec![], hosts(4..5)));
         assert_eq!(told[2], (hosts(5..6), hosts(4..5)));
+
+        // (a) A re-announces 4 with only its NEXT_HOP changed, then only
+        // its MED: each replaces the best, neither changes what is
+        // exported, and no one is told anything.
+        let path = [65001, 64999];
+        let hop = Ipv4Addr::new(127, 0, 0, 2);
+        assert_eq!(
+            net.step(a, update_via(&path, hop, None, 0..0, 4..5)),
+            told_nothing
+        );
+        assert_eq!(
+            net.step(a, update_via(&path, hop, Some(7), 0..0, 4..5)),
+            told_nothing
+        );
+
+        // (b) B brings 4 over the same path without a MED and wins on
+        // it: the best moves from A to B but exports the same. A is sent
+        // the route, B has it withdrawn, the observer hears nothing.
+        let told = net.step(b, update(&path, 0..0, 4..5));
+        assert_eq!(told[0], (vec![], hosts(4..5)));
+        assert_eq!(told[1], (hosts(4..5), vec![]));
+        assert_eq!(told[2], nothing);
+
+        // (c) The observer asks for a ROUTE-REFRESH mid-stream: it alone
+        // is sent the whole table again ...
+        net.core.batch().refresh(observer);
+        let (_, rx, reference) = &mut net.sessions[2];
+        *reference = AdjRibOut::new();
+        let next_hop = net.core.config.next_hop;
+        let actions = reference.sync(net.core.engine.export_routes(observer, next_hop));
+        let delivered = drain(rx);
+        assert_eq!(delivered, encoded(&net.core, &actions));
+        let mut table = announced(&delivered);
+        table.sort();
+        assert_eq!(table, [host(3), host(4), host(6)]);
+        assert_eq!(net.check(&[]), told_nothing);
+        // ... and changes go on being propagated: A alone brings 8, then
+        // B a longer path to it, which loses; A alone brings 9.
+        let told = net.step(a, update(&[65001], 0..0, 8..9));
+        assert_eq!(told[2], (vec![], hosts(8..9)));
+        assert_eq!(
+            net.step(b, update(&[65002, 64998], 0..0, 8..9)),
+            told_nothing
+        );
+        let told = net.step(a, update(&[65001, 64997], 0..0, 9..10));
+        assert_eq!(told[2], (vec![], hosts(9..10)));
+
+        // One UPDATE from A withdraws 8 and announces it again, as RFC
+        // 4271 §4.3 allows: the best goes to B and back, to a new
+        // allocation of an equal set (the withdrawal released the only
+        // one), and no one is told anything.
+        assert_eq!(net.step(a, update(&[65001], 8..9, 8..9)), told_nothing);
+
+        // (d) A's session goes while B holds a fallback for 8: B, now
+        // its source, has A's route withdrawn, as does everyone A's 9,
+        // and the observer is moved to B's route. A's non-best route to
+        // 4 goes without a word.
+        let purged: Vec<Prefix> = net
+            .core
+            .engine
+            .adj_rib_in(a)
+            .unwrap()
+            .iter()
+            .map(|(prefix, _)| *prefix)
+            .collect();
+        net.core.unregister_peer(a);
+        let (_, gone, _) = net.sessions.remove(0);
+        assert!(gone.try_recv().is_err());
+        let told: Vec<Told> = net
+            .check(&purged)
+            .into_iter()
+            .map(|(mut withdrawn, mut announced)| {
+                withdrawn.sort();
+                announced.sort();
+                (withdrawn, announced)
+            })
+            .collect();
+        assert_eq!(told[0], (hosts(8..10), vec![]));
+        assert_eq!(told[1], (hosts(9..10), hosts(8..9)));
     }
 
     #[test]
@@ -600,6 +889,31 @@ mod tests {
         assert_eq!(announced(&observer_rx.try_recv().unwrap()), [host(2)]);
         let stats = &core.peers[&observer].stats;
         assert_eq!((stats.updates_oversize, stats.updates_out), (1, 1));
+    }
+
+    #[test]
+    fn a_rejected_update_still_exports_the_withdrawals_it_applied() {
+        let mut core = Core::new(DaemonConfig::default());
+        let (source, _source_rx) = register(&mut core, 65001);
+        let (_, observer_rx) = register(&mut core, 65003);
+        core.batch().apply_update(source, &announce(1..2)).unwrap();
+        assert_eq!(announced(&observer_rx.try_recv().unwrap()), [host(1)]);
+
+        // Withdraws 1, then announces 2 without a NEXT_HOP: the engine
+        // has applied the withdrawal by the time it finds the error.
+        let rejected = UpdateMessage::builder()
+            .withdraw(host(1))
+            .attribute(PathAttribute::Origin(Origin::Igp))
+            .attribute(PathAttribute::AsPath(AsPath::from_sequence([Asn(65001)])))
+            .announce(host(2))
+            .build();
+        assert!(core.batch().apply_update(source, &rejected).is_err());
+        assert_eq!(core.loc_rib_len(), 0);
+        assert_eq!(core.fib_len(), 0);
+        assert_eq!(
+            changes(&observer_rx.try_recv().unwrap()),
+            (vec![host(1)], vec![])
+        );
     }
 
     #[test]

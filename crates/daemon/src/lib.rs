@@ -5,8 +5,8 @@
 //! session driving the RFC 4271 §8 state machine ([`SessionFsm`], the
 //! same one the simulated topology ticks) off its socket and the wall
 //! clock, a shared [`bgpbench_rib::RibEngine`], a shadow
-//! [`bgpbench_fib::Fib`], and Adj-RIB-Out propagation to every other
-//! established session.
+//! [`bgpbench_fib::Fib`], and re-advertisement of every change to every
+//! other established session.
 //!
 //! It serves two purposes in the reproduction:
 //!

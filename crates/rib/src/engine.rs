@@ -74,6 +74,17 @@ impl PrefixEntry {
         self.route(self.best)
     }
 
+    /// The selected route, in the form a [`DecisionSink`] is handed it.
+    fn best(&self) -> (PeerId, &Arc<RouteAttributes>) {
+        self.route_ref(self.best)
+    }
+
+    /// The route at `index` in that form.
+    fn route_ref(&self, index: u32) -> (PeerId, &Arc<RouteAttributes>) {
+        let (peer, attrs) = self.route(index);
+        (*peer, attrs)
+    }
+
     fn position(&self, peer: PeerId) -> Option<u32> {
         if self.first.0 == peer {
             return Some(0);
@@ -201,6 +212,35 @@ fn classify_replacement(
     (RouteChange::Replaced { fib_changed }, fib)
 }
 
+/// Folds a classified change into the statistics and wraps it in the
+/// per-prefix outcome.
+fn finish(
+    stats: &mut RibStats,
+    prefix: Prefix,
+    change: RouteChange,
+    fib: Option<FibDirective>,
+) -> PrefixOutcome {
+    match &fib {
+        Some(FibDirective::Install { .. }) => stats.fib_installs += 1,
+        Some(FibDirective::Remove { .. }) => stats.fib_removes += 1,
+        None => {}
+    }
+    if !matches!(change, RouteChange::Unchanged) {
+        stats.best_changed += 1;
+    }
+    PrefixOutcome {
+        prefix,
+        change,
+        fib,
+    }
+}
+
+/// A selected route as a [`DecisionSink`]'s *before*: attributes
+/// borrowed past the `Arc`.
+fn borrowed((peer, attrs): (PeerId, &Arc<RouteAttributes>)) -> (PeerId, &RouteAttributes) {
+    (peer, attrs)
+}
+
 /// A read-only view of one peer's Adj-RIB-In: the unprocessed routes
 /// received from that neighbor (RFC 4271 §3.2).
 ///
@@ -271,17 +311,9 @@ impl<'a> LocRib<'a> {
 
     /// The selected route for `prefix`, if any.
     pub fn get(&self, prefix: &Prefix) -> Option<Route> {
-        self.best(prefix)
-            .map(|(peer, attrs)| Route::new(*prefix, attrs.clone(), peer))
-    }
-
-    /// The peer the selected route for `prefix` was learned from and
-    /// its attributes, borrowed: [`LocRib::get`] without building the
-    /// [`Route`], for callers that only compare or re-export.
-    pub fn best(&self, prefix: &Prefix) -> Option<(PeerId, &'a Arc<RouteAttributes>)> {
         self.rib.get(prefix).map(|entry| {
-            let (peer, attrs) = entry.best_route();
-            (*peer, attrs)
+            let (peer, attrs) = entry.best();
+            Route::new(*prefix, attrs.clone(), peer)
         })
     }
 
@@ -345,6 +377,71 @@ pub struct PrefixOutcome {
     pub change: RouteChange,
     /// The forwarding-table write to perform, if any.
     pub fib: Option<FibDirective>,
+}
+
+/// What [`RibEngine::apply_update_with`] and
+/// [`RibEngine::remove_peer_with`] call once per prefix, while the
+/// engine still holds the prefix's entry, with
+///
+/// * the prefix's [`PrefixOutcome`];
+/// * the selected route *before* this step: the peer it was learned
+///   from and its attributes;
+/// * the selected route *after* it, the same way.
+///
+/// A step that changes nothing (an unchanged, rejected or unknown
+/// outcome) reports the same route on both sides. The borrows last for
+/// the call only: the sink runs before a replaced attribute set goes
+/// back to the [`AttrStore`], and the set before is deliberately not an
+/// `Arc` the sink could keep, since a kept reference would stop that
+/// release from evicting it. Any closure of this shape is a sink.
+pub trait DecisionSink:
+    FnMut(PrefixOutcome, Option<(PeerId, &RouteAttributes)>, Option<(PeerId, &Arc<RouteAttributes>)>)
+{
+}
+
+impl<F> DecisionSink for F where
+    F: FnMut(
+        PrefixOutcome,
+        Option<(PeerId, &RouteAttributes)>,
+        Option<(PeerId, &Arc<RouteAttributes>)>,
+    )
+{
+}
+
+/// The sink behind the collecting forms ([`RibEngine::apply_update`]
+/// and friends): keeps the outcome and nothing else.
+pub(crate) fn collect_into(outcomes: &mut Vec<PrefixOutcome>) -> impl DecisionSink + '_ {
+    |outcome, _, _| outcomes.push(outcome)
+}
+
+/// Per-message counts for [`record_apply_telemetry`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ApplyCounts {
+    prefixes: u64,
+    best_changed: u64,
+}
+
+impl ApplyCounts {
+    pub(crate) fn add(&mut self, outcome: &PrefixOutcome) {
+        self.prefixes += 1;
+        match outcome.change {
+            RouteChange::Installed | RouteChange::Replaced { .. } | RouteChange::Withdrawn => {
+                self.best_changed += 1;
+            }
+            RouteChange::Unchanged
+            | RouteChange::WithdrawnUnknown
+            | RouteChange::RejectedByPolicy
+            | RouteChange::RejectedAsLoop => {}
+        }
+    }
+
+    fn of(outcomes: &[PrefixOutcome]) -> Self {
+        let mut counts = ApplyCounts::default();
+        for outcome in outcomes {
+            counts.add(outcome);
+        }
+        counts
+    }
 }
 
 /// Aggregate counters kept by the engine.
@@ -466,9 +563,25 @@ impl RibEngine {
     ///
     /// Returns [`RibError::UnknownPeer`] for an unregistered id.
     pub fn remove_peer(&mut self, peer: PeerId) -> Result<Vec<PrefixOutcome>, RibError> {
-        let outcomes = self.purge_peer(peer)?;
-        self.peers.remove(&peer);
+        let mut outcomes = Vec::new();
+        self.remove_peer_with(peer, collect_into(&mut outcomes))?;
         Ok(outcomes)
+    }
+
+    /// [`RibEngine::remove_peer`], handing each prefix's step to `sink`
+    /// (see [`DecisionSink`]) instead of collecting outcomes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RibError::UnknownPeer`] for an unregistered id.
+    pub fn remove_peer_with(
+        &mut self,
+        peer: PeerId,
+        sink: impl DecisionSink,
+    ) -> Result<(), RibError> {
+        self.purge_peer_with(peer, sink)?;
+        self.peers.remove(&peer);
+        Ok(())
     }
 
     /// Withdraws everything learned from `peer` — re-running best-path
@@ -484,6 +597,16 @@ impl RibEngine {
     ///
     /// Returns [`RibError::UnknownPeer`] for an unregistered id.
     pub fn purge_peer(&mut self, peer: PeerId) -> Result<Vec<PrefixOutcome>, RibError> {
+        let mut outcomes = Vec::new();
+        self.purge_peer_with(peer, collect_into(&mut outcomes))?;
+        Ok(outcomes)
+    }
+
+    fn purge_peer_with(
+        &mut self,
+        peer: PeerId,
+        mut sink: impl DecisionSink,
+    ) -> Result<(), RibError> {
         if !self.peers.contains_key(&peer) {
             return Err(RibError::UnknownPeer(peer.0));
         }
@@ -493,11 +616,10 @@ impl RibEngine {
             .filter(|(_, entry)| entry.get(peer).is_some())
             .map(|(prefix, _)| *prefix)
             .collect();
-        let mut outcomes = Vec::with_capacity(prefixes.len());
         for prefix in prefixes {
-            outcomes.push(self.withdraw_one(peer, prefix));
+            self.withdraw_one(peer, prefix, &mut sink);
         }
-        Ok(outcomes)
+        Ok(())
     }
 
     /// The registered peers.
@@ -568,16 +690,40 @@ impl RibEngine {
         peer: PeerId,
         update: &UpdateMessage,
     ) -> Result<Vec<PrefixOutcome>, RibError> {
+        let mut outcomes = Vec::with_capacity(update.transaction_count());
+        self.apply_update_with(peer, update, collect_into(&mut outcomes))?;
+        Ok(outcomes)
+    }
+
+    /// [`RibEngine::apply_update`], handing each prefix's step to `sink`
+    /// (see [`DecisionSink`]), in message order, instead of collecting
+    /// outcomes. On an error after the withdrawals, their steps have
+    /// been handed over: they are applied, as with `apply_update`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`RibEngine::apply_update`].
+    pub fn apply_update_with(
+        &mut self,
+        peer: PeerId,
+        update: &UpdateMessage,
+        mut sink: impl DecisionSink,
+    ) -> Result<(), RibError> {
         // The disabled path pays one relaxed load and a predicted
         // branch; everything else (spans, the host clock, counter
         // deltas) lives behind it.
         if telemetry::disabled() {
-            return self.apply_update_inner(peer, update);
+            return self.apply_update_inner(peer, update, sink);
         }
         let _span = telemetry::span(SpanId::RibApplyUpdate);
         let start = std::time::Instant::now();
         let attrs_before = self.attr_store.stats();
-        let result = self.apply_update_inner(peer, update);
+        let mut counts = ApplyCounts::default();
+        let result =
+            self.apply_update_inner(peer, update, |outcome: PrefixOutcome, before, after| {
+                counts.add(&outcome);
+                sink(outcome, before, after);
+            });
         record_apply_telemetry(
             update,
             start.elapsed().as_nanos() as u64,
@@ -585,70 +731,65 @@ impl RibEngine {
             self.attr_store.stats(),
             self.attr_store.len() as u64,
             self.rib.len() as u64,
-            result.as_deref(),
+            result.is_ok().then_some(counts),
         );
         result
     }
 
-    /// The uninstrumented body of [`RibEngine::apply_update`].
+    /// The uninstrumented body of [`RibEngine::apply_update_with`].
     fn apply_update_inner(
         &mut self,
         peer: PeerId,
         update: &UpdateMessage,
-    ) -> Result<Vec<PrefixOutcome>, RibError> {
+        mut sink: impl DecisionSink,
+    ) -> Result<(), RibError> {
         if !self.peers.contains_key(&peer) {
             return Err(RibError::UnknownPeer(peer.0));
         }
         self.stats.updates += 1;
-        let mut outcomes = Vec::with_capacity(update.transaction_count());
-        self.apply_withdrawals(peer, update.withdrawn(), &mut outcomes);
+        self.apply_withdrawals(peer, update.withdrawn(), &mut sink);
         if update.nlri().is_empty() {
-            return Ok(outcomes);
+            return Ok(());
         }
         let attrs = RouteAttributes::from_wire(update.attributes())?;
-        self.apply_announcements(peer, update.nlri(), attrs, &mut outcomes);
-        Ok(outcomes)
+        self.apply_announcements(peer, update.nlri(), attrs, sink);
+        Ok(())
     }
 
-    /// Processes a batch of withdrawals in order, appending one outcome
-    /// per prefix. Shared by the single-engine path and the sharded
-    /// fan-out (each shard receives the message's sub-slice for its
-    /// prefixes); deliberately does *not* bump [`RibStats::updates`] —
-    /// the caller accounts for whole messages.
+    /// Processes a batch of withdrawals in order, one step per prefix.
+    /// Shared by the single-engine path and the sharded fan-out (each
+    /// shard receives the message's sub-slice for its prefixes);
+    /// deliberately does *not* bump [`RibStats::updates`] — the caller
+    /// accounts for whole messages.
     pub(crate) fn apply_withdrawals(
         &mut self,
         peer: PeerId,
         withdrawn: &[Prefix],
-        outcomes: &mut Vec<PrefixOutcome>,
+        mut sink: impl DecisionSink,
     ) {
         for prefix in withdrawn {
             self.stats.withdrawals += 1;
-            outcomes.push(self.withdraw_one(peer, *prefix));
+            self.withdraw_one(peer, *prefix, &mut sink);
         }
     }
 
     /// Processes a batch of announcements sharing one decoded attribute
-    /// set, appending one outcome per prefix. Shared by the
-    /// single-engine path and the sharded fan-out; like
-    /// [`RibEngine::apply_withdrawals`], does not bump
-    /// [`RibStats::updates`].
+    /// set, one step per prefix. Shared by the single-engine path and
+    /// the sharded fan-out; like [`RibEngine::apply_withdrawals`], does
+    /// not bump [`RibStats::updates`].
     pub(crate) fn apply_announcements(
         &mut self,
         peer: PeerId,
         nlri: &[Prefix],
         attrs: RouteAttributes,
-        outcomes: &mut Vec<PrefixOutcome>,
+        mut sink: impl DecisionSink,
     ) {
         // Loop prevention applies to the whole attribute set.
         if attrs.as_path().contains(self.local_asn) {
             for prefix in nlri {
                 self.stats.announcements += 1;
                 self.stats.loop_rejected += 1;
-                outcomes.push(PrefixOutcome {
-                    prefix: *prefix,
-                    change: RouteChange::RejectedAsLoop,
-                    fib: None,
-                });
+                self.reject(*prefix, RouteChange::RejectedAsLoop, &mut sink);
             }
             return;
         }
@@ -680,22 +821,29 @@ impl RibEngine {
                 );
                 verdict
             };
-            let outcome = match final_attrs {
-                Some(final_attrs) => self.announce_one(peer, *prefix, final_attrs),
+            match final_attrs {
+                Some(final_attrs) => self.announce_one(peer, *prefix, final_attrs, &mut sink),
                 None => {
                     self.stats.policy_rejected += 1;
-                    PrefixOutcome {
-                        prefix: *prefix,
-                        change: RouteChange::RejectedByPolicy,
-                        fib: None,
-                    }
+                    self.reject(*prefix, RouteChange::RejectedByPolicy, &mut sink);
                 }
-            };
-            outcomes.push(outcome);
+            }
         }
         // Drop the batch's working reference; if nothing admitted the
         // set (all rejected), this evicts it from the store.
         self.attr_store.release(interned);
+    }
+
+    /// The step for a prefix whose route set this message leaves as it
+    /// was: `change` says why.
+    fn reject(&self, prefix: Prefix, change: RouteChange, mut sink: impl DecisionSink) {
+        let outcome = PrefixOutcome {
+            prefix,
+            change,
+            fib: None,
+        };
+        let best = self.rib.get(&prefix).map(PrefixEntry::best);
+        sink(outcome, best.map(borrowed), best);
     }
 
     fn announce_one(
@@ -703,51 +851,61 @@ impl RibEngine {
         peer: PeerId,
         prefix: Prefix,
         attrs: Arc<RouteAttributes>,
-    ) -> PrefixOutcome {
+        mut sink: impl DecisionSink,
+    ) {
         use std::collections::hash_map::Entry;
-        let (change, fib, old) = match self.rib.entry(prefix) {
+        let stats = &mut self.stats;
+        let old = match self.rib.entry(prefix) {
             Entry::Vacant(slot) => {
                 // First route for the prefix: it wins by definition,
                 // with no comparison and no further lookup.
                 let next_hop = attrs.next_hop();
-                slot.insert(PrefixEntry::new(peer, attrs));
-                (
-                    RouteChange::Installed,
-                    Some(FibDirective::Install { prefix, next_hop }),
-                    None,
-                )
+                let entry = slot.insert(PrefixEntry::new(peer, attrs));
+                let fib = Some(FibDirective::Install { prefix, next_hop });
+                let outcome = finish(stats, prefix, RouteChange::Installed, fib);
+                sink(outcome, None, Some(entry.best()));
+                None
             }
             Entry::Occupied(slot) => {
                 let entry = slot.into_mut();
+                let before = entry.best;
                 match entry.position(peer) {
+                    // Identical re-announcement (interned sets are
+                    // value-equal iff pointer-equal): the route set did
+                    // not change, so the decision outcome cannot change
+                    // either.
+                    Some(index) if Arc::ptr_eq(&entry.route(index).1, &attrs) => {
+                        let outcome = finish(stats, prefix, RouteChange::Unchanged, None);
+                        sink(outcome, Some(borrowed(entry.best())), Some(entry.best()));
+                        None
+                    }
                     Some(index) => {
-                        // Identical re-announcement (interned sets are
-                        // value-equal iff pointer-equal): the route set
-                        // did not change, so the decision outcome
-                        // cannot change either.
-                        if Arc::ptr_eq(&entry.route(index).1, &attrs) {
-                            (RouteChange::Unchanged, None, None)
+                        let old = std::mem::replace(&mut entry.route_mut(index).1, attrs);
+                        let (change, fib) = if before == index {
+                            // The best route's attributes changed: any
+                            // route may now win — rescan.
+                            entry.best =
+                                best_index(&self.config, self.local_asn, &self.peers, entry);
+                            let (new_peer, new_attrs) = entry.best_route();
+                            classify_replacement(prefix, peer, &old, *new_peer, new_attrs)
                         } else {
-                            let old = std::mem::replace(&mut entry.route_mut(index).1, attrs);
-                            let (change, fib) = if entry.best == index {
-                                // The best route's attributes changed:
-                                // any route may now win — rescan.
-                                entry.best =
-                                    best_index(&self.config, self.local_asn, &self.peers, entry);
-                                let (new_peer, new_attrs) = entry.best_route();
-                                classify_replacement(prefix, peer, &old, *new_peer, new_attrs)
-                            } else {
-                                challenge(
-                                    &self.config,
-                                    self.local_asn,
-                                    &self.peers,
-                                    prefix,
-                                    entry,
-                                    index,
-                                )
-                            };
-                            (change, fib, Some(old))
-                        }
+                            challenge(
+                                &self.config,
+                                self.local_asn,
+                                &self.peers,
+                                prefix,
+                                entry,
+                                index,
+                            )
+                        };
+                        let before = if before == index {
+                            (peer, &*old)
+                        } else {
+                            borrowed(entry.route_ref(before))
+                        };
+                        let outcome = finish(stats, prefix, change, fib);
+                        sink(outcome, Some(before), Some(entry.best()));
+                        Some(old)
                     }
                     None => {
                         let index = entry.push(peer, attrs);
@@ -759,7 +917,13 @@ impl RibEngine {
                             entry,
                             index,
                         );
-                        (change, fib, None)
+                        let outcome = finish(stats, prefix, change, fib);
+                        sink(
+                            outcome,
+                            Some(borrowed(entry.route_ref(before))),
+                            Some(entry.best()),
+                        );
+                        None
                     }
                 }
             }
@@ -767,33 +931,32 @@ impl RibEngine {
         if let Some(old) = old {
             self.attr_store.release(old);
         }
-        self.finish(prefix, change, fib)
     }
 
-    fn withdraw_one(&mut self, peer: PeerId, prefix: Prefix) -> PrefixOutcome {
+    fn withdraw_one(&mut self, peer: PeerId, prefix: Prefix, mut sink: impl DecisionSink) {
         use std::collections::hash_map::Entry;
+        let unknown = PrefixOutcome {
+            prefix,
+            change: RouteChange::WithdrawnUnknown,
+            fib: None,
+        };
         let Entry::Occupied(slot) = self.rib.entry(prefix) else {
-            return PrefixOutcome {
-                prefix,
-                change: RouteChange::WithdrawnUnknown,
-                fib: None,
-            };
+            sink(unknown, None, None);
+            return;
         };
         let Some(index) = slot.get().position(peer) else {
-            return PrefixOutcome {
-                prefix,
-                change: RouteChange::WithdrawnUnknown,
-                fib: None,
-            };
+            let best = slot.get().best();
+            sink(unknown, Some(borrowed(best)), Some(best));
+            return;
         };
-        let (change, fib, old) = if slot.get().len() == 1 {
+        let stats = &mut self.stats;
+        let old = if slot.get().len() == 1 {
             // Last route for the prefix: drop the whole entry.
             let (_, old) = slot.remove().into_only();
-            (
-                RouteChange::Withdrawn,
-                Some(FibDirective::Remove { prefix }),
-                old,
-            )
+            let fib = Some(FibDirective::Remove { prefix });
+            let outcome = finish(stats, prefix, RouteChange::Withdrawn, fib);
+            sink(outcome, Some((peer, &*old)), None);
+            old
         } else {
             let entry = slot.into_mut();
             let was_best = entry.best == index;
@@ -810,33 +973,16 @@ impl RibEngine {
                 }
                 (RouteChange::Unchanged, None)
             };
-            (change, fib, old)
+            let before = if was_best {
+                (peer, &*old)
+            } else {
+                borrowed(entry.best())
+            };
+            let outcome = finish(stats, prefix, change, fib);
+            sink(outcome, Some(before), Some(entry.best()));
+            old
         };
         self.attr_store.release(old);
-        self.finish(prefix, change, fib)
-    }
-
-    /// Folds a classified change into the statistics and wraps it in
-    /// the per-prefix outcome.
-    fn finish(
-        &mut self,
-        prefix: Prefix,
-        change: RouteChange,
-        fib: Option<FibDirective>,
-    ) -> PrefixOutcome {
-        match &fib {
-            Some(FibDirective::Install { .. }) => self.stats.fib_installs += 1,
-            Some(FibDirective::Remove { .. }) => self.stats.fib_removes += 1,
-            None => {}
-        }
-        if !matches!(change, RouteChange::Unchanged) {
-            self.stats.best_changed += 1;
-        }
-        PrefixOutcome {
-            prefix,
-            change,
-            fib,
-        }
     }
 
     /// Computes the routes to advertise to `peer`: every Loc-RIB best
@@ -905,7 +1051,7 @@ pub(crate) fn record_apply_telemetry(
     attrs_after: crate::attr_store::AttrStoreStats,
     attr_store_entries: u64,
     loc_rib_prefixes: u64,
-    result: Result<&[PrefixOutcome], &RibError>,
+    counts: Option<ApplyCounts>,
 ) {
     telemetry::observe(MetricId::ApplyHostNs, host_ns);
     telemetry::observe(MetricId::UpdatePrefixes, update.transaction_count() as u64);
@@ -924,19 +1070,9 @@ pub(crate) fn record_apply_telemetry(
     );
     telemetry::gauge(MetricId::AttrStoreEntries, attr_store_entries);
     telemetry::gauge(MetricId::LocRibPrefixes, loc_rib_prefixes);
-    if let Ok(outcomes) = result {
-        telemetry::add(MetricId::RibPrefixes, outcomes.len() as u64);
-        for outcome in outcomes {
-            match outcome.change {
-                RouteChange::Installed | RouteChange::Replaced { .. } | RouteChange::Withdrawn => {
-                    telemetry::incr(MetricId::RibBestChanged);
-                }
-                RouteChange::Unchanged
-                | RouteChange::WithdrawnUnknown
-                | RouteChange::RejectedByPolicy
-                | RouteChange::RejectedAsLoop => {}
-            }
-        }
+    if let Some(counts) = counts {
+        telemetry::add(MetricId::RibPrefixes, counts.prefixes);
+        telemetry::add(MetricId::RibBestChanged, counts.best_changed);
     }
 }
 
@@ -980,7 +1116,9 @@ pub(crate) fn record_train_telemetry(
             after,
             attr_store_entries,
             loc_rib_prefixes,
-            Ok(merged.get(index).map(Vec::as_slice).unwrap_or(&[])),
+            Some(ApplyCounts::of(
+                merged.get(index).map(Vec::as_slice).unwrap_or(&[]),
+            )),
         );
     }
 }
@@ -1385,6 +1523,14 @@ mod tests {
         assert_eq!(engine.attr_store().len(), 0);
         assert!(engine.loc_rib().is_empty());
         assert_eq!(engine.attr_store().stats().released, 20);
+    }
+
+    /// Outcomes are collected by the hundred thousand (a teardown purges
+    /// a whole table in one call), and hold no `Arc`: one would keep a
+    /// released set interned for as long as the outcome lives.
+    #[test]
+    fn prefix_outcome_stays_28_bytes() {
+        assert_eq!(std::mem::size_of::<PrefixOutcome>(), 28);
     }
 
     #[test]

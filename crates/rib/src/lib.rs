@@ -5,7 +5,13 @@
 //!
 //! * [`AdjRibIn`] — unprocessed routes received from each neighbor;
 //! * [`LocRib`] — the routes selected by the local decision process;
-//! * [`AdjRibOut`] — the per-neighbor subset staged for advertisement.
+//! * [`AdjRibOut`] — the per-neighbor subset staged for advertisement,
+//!   kept as a stored map by the simulator's Phase-2 dump
+//!   (`models::plane`), the benchmark's replica and the tests' export
+//!   reference. `bgpd` keeps none: it derives each peer's actions from
+//!   the decision's best-before and best-after
+//!   ([`RibEngine::apply_update_with`]), which the stored map always
+//!   equals.
 //!
 //! The [`RibEngine`] ties them together: feed it UPDATE messages with
 //! [`RibEngine::apply_update`] and it returns, per prefix, exactly what
@@ -54,7 +60,9 @@ mod shard;
 pub use adj_out::{AdjRibOut, ExportAction, OutboundUpdate};
 pub use attr_store::{AttrStore, AttrStoreStats};
 pub use decision::{compare_routes, DecisionConfig};
-pub use engine::{AdjRibIn, FibDirective, LocRib, PrefixOutcome, RibEngine, RibStats, RouteChange};
+pub use engine::{
+    AdjRibIn, DecisionSink, FibDirective, LocRib, PrefixOutcome, RibEngine, RibStats, RouteChange,
+};
 pub use error::RibError;
 pub use policy::{MatchClause, PrefixList, PrefixMatch, RouteMap, RouteMapEntry, SetClause};
 pub use route::{

@@ -422,6 +422,33 @@ impl RouteAttributes {
                 .collect(),
         }
     }
+
+    /// Whether `self` and `other` are advertised identically over eBGP:
+    /// `self.exported(asn, next_hop) == other.exported(asn, next_hop)`
+    /// for every `asn` and `next_hop`, decided without building either
+    /// set. NEXT_HOP, MED and LOCAL_PREF do not count, since export
+    /// rewrites or strips them; AS paths are compared as they read after
+    /// the prepend, so `[]` and `[SEQ()]` are equal; and partial bits,
+    /// which export sets, do not count either.
+    pub fn exports_equal(&self, other: &RouteAttributes) -> bool {
+        std::ptr::eq(self, other)
+            || (self.origin == other.origin
+                && self.atomic_aggregate == other.atomic_aggregate
+                && self.aggregator == other.aggregator
+                && self.as_path.prepend_parts() == other.as_path.prepend_parts()
+                && self.communities == other.communities
+                && self.large_communities == other.large_communities
+                && self.unknown_transitive.len() == other.unknown_transitive.len()
+                && self
+                    .unknown_transitive
+                    .iter()
+                    .zip(&other.unknown_transitive)
+                    .all(|(a, b)| {
+                        a.flags | FLAG_PARTIAL == b.flags | FLAG_PARTIAL
+                            && a.type_code == b.type_code
+                            && a.value == b.value
+                    }))
+    }
 }
 
 /// Builder for [`RouteAttributes`], the one construction path that
@@ -556,7 +583,7 @@ impl fmt::Display for Route {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpbench_wire::LargeCommunity;
+    use bgpbench_wire::{AsPathSegment, LargeCommunity};
 
     fn base_attrs() -> Vec<PathAttribute> {
         vec![
@@ -718,6 +745,37 @@ mod tests {
         assert_eq!(exported.unknown_transitive().len(), 1);
         // Partial bit set on the way out (RFC 4271 §5).
         assert_eq!(exported.unknown_transitive()[0].flags, 0xE0);
+    }
+
+    #[test]
+    fn exports_equal_ignores_what_export_drops_and_compares_prepended_paths() {
+        let with = |path: Vec<AsPathSegment>, hop: u8, med: u32, flags: u8| {
+            RouteAttributes::builder()
+                .as_path(AsPath::from_segments(path))
+                .next_hop(Ipv4Addr::new(10, 0, 0, hop))
+                .med(med)
+                .local_pref(u32::from(hop))
+                .unknown_transitive(flags, 77, vec![5])
+                .build()
+        };
+        let seq = |asns: &[u16]| AsPathSegment::Sequence(asns.iter().copied().map(Asn).collect());
+        let full = seq(&[7; 255]);
+        let equal = [
+            (vec![], vec![seq(&[])]),
+            (vec![full.clone()], vec![seq(&[]), full]),
+            (vec![seq(&[1, 2])], vec![seq(&[1, 2])]),
+        ];
+        for (a, b) in equal {
+            // Different NEXT_HOP, MED, LOCAL_PREF and partial bit too.
+            assert!(with(a, 1, 1, 0xC0).exports_equal(&with(b, 2, 2, 0xE0)));
+        }
+        let different = [
+            (vec![seq(&[1])], vec![seq(&[]), seq(&[1])]),
+            (vec![seq(&[1])], vec![AsPathSegment::Set(vec![Asn(1)])]),
+        ];
+        for (a, b) in different {
+            assert!(!with(a, 1, 1, 0xC0).exports_equal(&with(b, 1, 1, 0xC0)));
+        }
     }
 
     #[test]

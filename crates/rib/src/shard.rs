@@ -48,7 +48,8 @@ use bgpbench_wire::{Asn, Prefix, RouterId, UpdateMessage};
 use crate::attr_store::AttrStoreStats;
 use crate::decision::DecisionConfig;
 use crate::engine::{
-    record_apply_telemetry, record_train_telemetry, PrefixOutcome, RibEngine, RibStats,
+    collect_into, record_apply_telemetry, record_train_telemetry, ApplyCounts, DecisionSink,
+    PrefixOutcome, RibEngine, RibStats,
 };
 use crate::fxhash::FxHashSet;
 use crate::policy::RouteMap;
@@ -381,7 +382,8 @@ impl ShardedRibEngine {
         peer: PeerId,
         update: &UpdateMessage,
     ) -> Result<Vec<PrefixOutcome>, RibError> {
-        if self.shards.len() == 1 {
+        let shards = self.shards.len();
+        if shards == 1 {
             // Wholesale delegation: telemetry, error paths, and stats
             // all come from the single engine unmodified. The flight
             // recorder still gets a shard-0 busy span so single-shard
@@ -393,13 +395,47 @@ impl ShardedRibEngine {
             );
             return self.shards[0].apply_update(peer, update);
         }
+        let mut per_shard: Vec<Vec<PrefixOutcome>> = vec![Vec::new(); shards];
+        self.apply_update_with(peer, update, |outcome: PrefixOutcome, _, _| {
+            per_shard[shard_of(&outcome.prefix, shards)].push(outcome);
+        })?;
+        Ok(merge_in_message_order(update, shards, per_shard))
+    }
+
+    /// [`RibEngine::apply_update_with`] across the shards. At one shard
+    /// the steps come in message order; at more, each shard's steps
+    /// come together — withdrawals shard by shard, then announcements
+    /// shard by shard — so the steps of any one prefix keep their
+    /// message order, since the prefix lives on one shard.
+    ///
+    /// # Errors
+    ///
+    /// As for [`RibEngine::apply_update`].
+    pub fn apply_update_with(
+        &mut self,
+        peer: PeerId,
+        update: &UpdateMessage,
+        mut sink: impl DecisionSink,
+    ) -> Result<(), RibError> {
+        if self.shards.len() == 1 {
+            let _trace = telemetry::trace_span(
+                TraceEventId::ShardApply,
+                0,
+                update.transaction_count() as u64,
+            );
+            return self.shards[0].apply_update_with(peer, update, sink);
+        }
         if telemetry::disabled() {
-            return self.fan_out_update(peer, update);
+            return self.fan_out_update(peer, update, sink);
         }
         let _span = telemetry::span(SpanId::RibApplyUpdate);
         let start = std::time::Instant::now();
         let attrs_before = self.attr_store_stats();
-        let result = self.fan_out_update(peer, update);
+        let mut counts = ApplyCounts::default();
+        let result = self.fan_out_update(peer, update, |outcome: PrefixOutcome, before, after| {
+            counts.add(&outcome);
+            sink(outcome, before, after);
+        });
         record_apply_telemetry(
             update,
             start.elapsed().as_nanos() as u64,
@@ -407,20 +443,21 @@ impl ShardedRibEngine {
             self.attr_store_stats(),
             self.attr_store_len() as u64,
             self.loc_rib().len() as u64,
-            result.as_deref(),
+            result.is_ok().then_some(counts),
         );
         result
     }
 
-    /// The multi-shard per-update path: partition, apply per shard on
-    /// the calling thread, merge back into message order. One UPDATE
-    /// is far too little work to amortize a thread hand-off — batch
-    /// parallelism lives in [`ShardedRibEngine::apply_update_train`].
+    /// The multi-shard per-update path: partition, then apply per shard
+    /// on the calling thread. One UPDATE is far too little work to
+    /// amortize a thread hand-off — batch parallelism lives in
+    /// [`ShardedRibEngine::apply_update_train`].
     fn fan_out_update(
         &mut self,
         peer: PeerId,
         update: &UpdateMessage,
-    ) -> Result<Vec<PrefixOutcome>, RibError> {
+        mut sink: impl DecisionSink,
+    ) -> Result<(), RibError> {
         if !self.knows_peer(peer) {
             return Err(RibError::UnknownPeer(peer.0));
         }
@@ -430,7 +467,6 @@ impl ShardedRibEngine {
         for prefix in update.withdrawn() {
             withdrawn[shard_of(prefix, shards)].push(*prefix);
         }
-        let mut per_shard: Vec<Vec<PrefixOutcome>> = vec![Vec::new(); shards];
         for (index, prefixes) in withdrawn.iter().enumerate() {
             if !prefixes.is_empty() {
                 let _busy = telemetry::trace_span(
@@ -438,11 +474,11 @@ impl ShardedRibEngine {
                     index as u64,
                     prefixes.len() as u64,
                 );
-                self.shards[index].apply_withdrawals(peer, prefixes, &mut per_shard[index]);
+                self.shards[index].apply_withdrawals(peer, prefixes, &mut sink);
             }
         }
         if update.nlri().is_empty() {
-            return Ok(merge_in_message_order(update, shards, per_shard));
+            return Ok(());
         }
         // Decoded once here; each owning shard clones the set and
         // interns it in its own store. The `?` sits *after* the
@@ -460,15 +496,10 @@ impl ShardedRibEngine {
                     index as u64,
                     prefixes.len() as u64,
                 );
-                self.shards[index].apply_announcements(
-                    peer,
-                    prefixes,
-                    attrs.clone(),
-                    &mut per_shard[index],
-                );
+                self.shards[index].apply_announcements(peer, prefixes, attrs.clone(), &mut sink);
             }
         }
-        Ok(merge_in_message_order(update, shards, per_shard))
+        Ok(())
     }
 
     /// Applies a train of UPDATEs from `peer`, processing shards in
@@ -588,11 +619,16 @@ impl ShardedRibEngine {
             for (index, (withdrawn, nlri)) in batches.iter().enumerate() {
                 let mut outcomes = Vec::with_capacity(withdrawn.len() + nlri.len());
                 if !withdrawn.is_empty() {
-                    engine.apply_withdrawals(peer, withdrawn, &mut outcomes);
+                    engine.apply_withdrawals(peer, withdrawn, collect_into(&mut outcomes));
                 }
                 if !nlri.is_empty() {
                     if let Some(attrs) = &decoded[index] {
-                        engine.apply_announcements(peer, nlri, attrs.clone(), &mut outcomes);
+                        engine.apply_announcements(
+                            peer,
+                            nlri,
+                            attrs.clone(),
+                            collect_into(&mut outcomes),
+                        );
                     }
                 }
                 per_update.push(outcomes);

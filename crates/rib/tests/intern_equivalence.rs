@@ -31,6 +31,12 @@ use proptest::prelude::*;
 
 const LOCAL_ASN: Asn = Asn(65000);
 
+/// A prefix's selected route, by value.
+type Best = Option<(PeerId, RouteAttributes)>;
+
+/// One prefix's step: its outcome and the best before and after it.
+type Step = (PrefixOutcome, Best, Best);
+
 /// The naive reference: value semantics, full rescans, no sharing.
 struct RefEngine {
     local_asn: Asn,
@@ -40,6 +46,8 @@ struct RefEngine {
     adj_in: BTreeMap<PeerId, BTreeMap<Prefix, RouteAttributes>>,
     loc_rib: BTreeMap<Prefix, (PeerId, RouteAttributes)>,
     stats: RibStats,
+    /// The steps of the last `apply_update`, bests read off `loc_rib`.
+    steps: Vec<Step>,
 }
 
 impl RefEngine {
@@ -56,6 +64,7 @@ impl RefEngine {
             adj_in,
             loc_rib: BTreeMap::new(),
             stats: RibStats::default(),
+            steps: Vec::new(),
         }
     }
 
@@ -63,54 +72,65 @@ impl RefEngine {
         self.peers.iter().find(|info| info.id() == peer).unwrap()
     }
 
-    fn apply_update(&mut self, peer: PeerId, update: &UpdateMessage) -> Vec<PrefixOutcome> {
-        self.stats.updates += 1;
-        let mut outcomes = Vec::new();
+    fn best(&self, prefix: &Prefix) -> Best {
+        self.loc_rib.get(prefix).cloned()
+    }
 
+    fn apply_update(&mut self, peer: PeerId, update: &UpdateMessage) -> Vec<PrefixOutcome> {
+        self.steps.clear();
+        self.stats.updates += 1;
         for prefix in update.withdrawn() {
             self.stats.withdrawals += 1;
-            outcomes.push(self.withdraw_one(peer, *prefix));
+            let before = self.best(prefix);
+            let outcome = self.withdraw_one(peer, *prefix);
+            self.steps.push((outcome, before, self.best(prefix)));
         }
-
-        if update.nlri().is_empty() {
-            return outcomes;
-        }
-        let attrs = RouteAttributes::from_wire(update.attributes()).unwrap();
-        if attrs.as_path().contains(self.local_asn) {
+        if !update.nlri().is_empty() {
+            let attrs = RouteAttributes::from_wire(update.attributes()).unwrap();
             for prefix in update.nlri() {
-                self.stats.announcements += 1;
-                self.stats.loop_rejected += 1;
-                outcomes.push(PrefixOutcome {
-                    prefix: *prefix,
-                    change: RouteChange::RejectedAsLoop,
-                    fib: None,
-                });
+                let before = self.best(prefix);
+                let outcome = self.announce_one(peer, *prefix, &attrs);
+                self.steps.push((outcome, before, self.best(prefix)));
             }
-            return outcomes;
         }
+        self.steps
+            .iter()
+            .map(|(outcome, ..)| outcome.clone())
+            .collect()
+    }
 
-        for prefix in update.nlri() {
-            self.stats.announcements += 1;
-            let outcome = match self.policy.evaluate(prefix, attrs.clone()) {
-                Some(final_attrs) => {
-                    self.adj_in
-                        .get_mut(&peer)
-                        .unwrap()
-                        .insert(*prefix, final_attrs);
-                    self.reselect(*prefix)
-                }
-                None => {
-                    self.stats.policy_rejected += 1;
-                    PrefixOutcome {
-                        prefix: *prefix,
-                        change: RouteChange::RejectedByPolicy,
-                        fib: None,
-                    }
-                }
+    fn announce_one(
+        &mut self,
+        peer: PeerId,
+        prefix: Prefix,
+        attrs: &RouteAttributes,
+    ) -> PrefixOutcome {
+        self.stats.announcements += 1;
+        if attrs.as_path().contains(self.local_asn) {
+            self.stats.loop_rejected += 1;
+            return PrefixOutcome {
+                prefix,
+                change: RouteChange::RejectedAsLoop,
+                fib: None,
             };
-            outcomes.push(outcome);
         }
-        outcomes
+        match self.policy.evaluate(&prefix, attrs.clone()) {
+            Some(final_attrs) => {
+                self.adj_in
+                    .get_mut(&peer)
+                    .unwrap()
+                    .insert(prefix, final_attrs);
+                self.reselect(prefix)
+            }
+            None => {
+                self.stats.policy_rejected += 1;
+                PrefixOutcome {
+                    prefix,
+                    change: RouteChange::RejectedByPolicy,
+                    fib: None,
+                }
+            }
+        }
     }
 
     fn withdraw_one(&mut self, peer: PeerId, prefix: Prefix) -> PrefixOutcome {
@@ -342,8 +362,10 @@ fn arb_shards() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), Just(2), Just(3), Just(4), Just(8)]
 }
 
-/// Drives both engines through the same stream and asserts identical
+/// Drives the engines through the same stream and asserts identical
 /// outcome sequences, Loc-RIB contents, Adj-RIB-In contents, and stats.
+/// A second real engine takes the stream through the sink form, whose
+/// per-prefix bests must be the reference's.
 fn check_equivalence(
     shards: usize,
     attr_pool: &[RouteAttributes],
@@ -352,13 +374,18 @@ fn check_equivalence(
     policy: RouteMap,
 ) -> Result<(), TestCaseError> {
     let peers = peer_pool();
-    let mut real = ShardedRibEngine::new(LOCAL_ASN, RouterId(1));
-    for info in &peers {
-        real.add_peer(*info);
-    }
-    real.set_shards(shards);
-    real.set_import_policy(policy.clone());
-    let mut reference = RefEngine::new(peers.clone(), policy);
+    let build = || {
+        let mut engine = ShardedRibEngine::new(LOCAL_ASN, RouterId(1));
+        for info in &peers {
+            engine.add_peer(*info);
+        }
+        engine.set_shards(shards);
+        engine.set_import_policy(policy.clone());
+        engine
+    };
+    let mut real = build();
+    let mut sunk = build();
+    let mut reference = RefEngine::new(peers.clone(), policy.clone());
 
     for (step, op) in ops.iter().enumerate() {
         let peer = peers[op.peer].id();
@@ -370,7 +397,40 @@ fn check_equivalence(
         let got = real.apply_update(peer, &update).unwrap();
         let want = reference.apply_update(peer, &update);
         prop_assert_eq!(&got, &want, "outcomes diverge at step {}", step);
+
+        let mut reported: Vec<Step> = Vec::new();
+        sunk.apply_update_with(peer, &update, |outcome, before, after| {
+            let before = before.map(|(peer, attrs)| (peer, attrs.clone()));
+            let after = after.map(|(peer, attrs)| (peer, RouteAttributes::clone(attrs)));
+            reported.push((outcome, before, after));
+        })
+        .unwrap();
+        // Past one shard, steps come shard by shard; a prefix's own
+        // steps keep message order either way.
+        let mut expected = reference.steps.clone();
+        if shards > 1 {
+            reported.sort_by_key(|(outcome, ..)| outcome.prefix);
+            expected.sort_by_key(|(outcome, ..)| outcome.prefix);
+        }
+        prop_assert_eq!(
+            &reported,
+            &expected,
+            "sink reports diverge at step {}",
+            step
+        );
+
+        let entries = reference.stats().attr_store_entries;
+        for engine in [&real, &sunk] {
+            prop_assert_eq!(
+                engine.stats().attr_store_entries,
+                entries,
+                "at step {}",
+                step
+            );
+            prop_assert_eq!(engine.attr_store_len() as u64, entries, "at step {}", step);
+        }
     }
+    prop_assert_eq!(sunk.stats(), real.stats());
 
     // Loc-RIB: same prefixes, same selected peer, same attribute values.
     prop_assert_eq!(real.loc_rib().len(), reference.loc_rib.len());

@@ -4,7 +4,9 @@ use std::cmp::Ordering;
 use std::net::Ipv4Addr;
 
 use bgpbench_rib::{compare_routes, DecisionConfig, PeerId, PeerInfo, RibEngine, RouteAttributes};
-use bgpbench_wire::{AsPath, Asn, Origin, PathAttribute, Prefix, RouterId, UpdateMessage};
+use bgpbench_wire::{
+    AsPath, AsPathSegment, Asn, Origin, PathAttribute, Prefix, RouterId, UpdateMessage,
+};
 use proptest::prelude::*;
 
 const LOCAL_ASN: Asn = Asn(65000);
@@ -286,6 +288,152 @@ proptest! {
             Ordering::Less => PeerId(2),
         };
         prop_assert_eq!(winner, expected);
+    }
+}
+
+/// The part of an attribute set export keeps, drawn from pools small
+/// enough that two draws often agree. The paths include `[]` and
+/// `[SEQ()]`, full 255-AS leading sequences, and empty leading
+/// sequences ahead of either a full one or a set.
+#[derive(Debug, Clone)]
+struct Kept {
+    origin: Origin,
+    path: Vec<AsPathSegment>,
+    atomic_aggregate: bool,
+    aggregator: Option<u16>,
+    communities: Vec<u32>,
+    unknown: Option<u8>,
+}
+
+/// The part export rewrites or strips, and the unknown attribute's
+/// partial bit, which it sets.
+#[derive(Debug, Clone)]
+struct Dropped {
+    next_hop: u32,
+    med: Option<u32>,
+    local_pref: Option<u32>,
+    partial: bool,
+}
+
+fn arb_kept() -> impl Strategy<Value = Kept> {
+    let seq = |asns: &[u16]| AsPathSegment::Sequence(asns.iter().copied().map(Asn).collect());
+    let full = AsPathSegment::Sequence(vec![Asn(1); 255]);
+    let set = AsPathSegment::Set(vec![Asn(1)]);
+    let path = prop_oneof![
+        Just(vec![]),
+        Just(vec![seq(&[])]),
+        Just(vec![seq(&[1])]),
+        Just(vec![seq(&[]), seq(&[1])]),
+        Just(vec![full.clone()]),
+        Just(vec![seq(&[]), full]),
+        Just(vec![set.clone()]),
+        Just(vec![seq(&[]), set]),
+        prop::collection::vec(1u16..3, 1..3).prop_map(move |asns| vec![seq(&asns)]),
+    ];
+    (
+        prop_oneof![Just(Origin::Igp), Just(Origin::Egp)],
+        path,
+        any::<bool>(),
+        prop::option::of(1u16..3),
+        prop::collection::vec(1u32..3, 0..2),
+        prop::option::of(1u8..3),
+    )
+        .prop_map(
+            |(origin, path, atomic_aggregate, aggregator, communities, unknown)| Kept {
+                origin,
+                path,
+                atomic_aggregate,
+                aggregator,
+                communities,
+                unknown,
+            },
+        )
+}
+
+fn arb_dropped() -> impl Strategy<Value = Dropped> {
+    (
+        1u32..3,
+        prop::option::of(1u32..3),
+        prop::option::of(1u32..3),
+        any::<bool>(),
+    )
+        .prop_map(|(next_hop, med, local_pref, partial)| Dropped {
+            next_hop,
+            med,
+            local_pref,
+            partial,
+        })
+}
+
+fn build_attrs(kept: &Kept, dropped: &Dropped) -> RouteAttributes {
+    let mut builder = RouteAttributes::builder()
+        .origin(kept.origin)
+        .as_path(AsPath::from_segments(kept.path.iter().cloned()))
+        .next_hop(Ipv4Addr::from(dropped.next_hop))
+        .atomic_aggregate(kept.atomic_aggregate)
+        .communities(kept.communities.clone());
+    if let Some(asn) = kept.aggregator {
+        builder = builder.aggregator(Asn(asn), Ipv4Addr::new(10, 0, 0, 9));
+    }
+    if let Some(value) = kept.unknown {
+        let flags = if dropped.partial { 0xE0 } else { 0xC0 };
+        builder = builder.unknown_transitive(flags, 77, vec![value]);
+    }
+    if let Some(med) = dropped.med {
+        builder = builder.med(med);
+    }
+    if let Some(local_pref) = dropped.local_pref {
+        builder = builder.local_pref(local_pref);
+    }
+    builder.build()
+}
+
+/// Pairs that often export the same: the second set is drawn on its
+/// own, or is the first with what export drops redrawn and at most one
+/// kept part redrawn — or its path respelled with a leading empty
+/// AS_SEQUENCE added or taken away, which leaves the prepended path as
+/// it was unless the path then starts with a sequence that has room.
+fn arb_export_pair() -> impl Strategy<Value = (RouteAttributes, RouteAttributes)> {
+    (arb_kept(), arb_kept(), arb_dropped(), arb_dropped(), 0u8..9).prop_map(
+        |(kept, other, dropped, other_dropped, mode)| {
+            let mut mixed = kept.clone();
+            match mode {
+                0 => mixed = other,
+                1 => mixed.origin = other.origin,
+                2 => mixed.path = other.path,
+                3 => mixed.atomic_aggregate = other.atomic_aggregate,
+                4 => mixed.aggregator = other.aggregator,
+                5 => mixed.communities = other.communities,
+                6 => mixed.unknown = other.unknown,
+                7 => match mixed.path.first() {
+                    Some(AsPathSegment::Sequence(asns)) if asns.is_empty() => {
+                        mixed.path.remove(0);
+                    }
+                    _ => mixed.path.insert(0, AsPathSegment::Sequence(Vec::new())),
+                },
+                _ => {}
+            }
+            (
+                build_attrs(&kept, &dropped),
+                build_attrs(&mixed, &other_dropped),
+            )
+        },
+    )
+}
+
+proptest! {
+    /// `exports_equal` is the comparison of the exported sets it stands
+    /// in for, at any local AS (one inside the paths included).
+    #[test]
+    fn exports_equal_is_equality_of_the_exported_sets(
+        (a, b) in arb_export_pair(),
+        asn in 1u16..4,
+    ) {
+        let next_hop = Ipv4Addr::new(10, 0, 0, 1);
+        let exported = |attrs: &RouteAttributes| attrs.exported(Asn(asn), next_hop);
+        prop_assert_eq!(a.exports_equal(&b), exported(&a) == exported(&b));
+        prop_assert_eq!(b.exports_equal(&a), a.exports_equal(&b));
+        prop_assert!(a.exports_equal(&a));
     }
 }
 

@@ -113,14 +113,28 @@ impl AsPath {
     /// Returns a new path with `asn` prepended, as done when a route is
     /// advertised over an eBGP session (RFC 4271 §5.1.2).
     pub fn prepend(&self, asn: Asn) -> AsPath {
-        let mut segments = self.segments.clone();
-        match segments.first_mut() {
-            Some(AsPathSegment::Sequence(asns)) if asns.len() < 255 => {
-                asns.insert(0, asn);
-            }
-            _ => segments.insert(0, AsPathSegment::Sequence(vec![asn])),
-        }
+        let (head, rest) = self.prepend_parts();
+        let mut leading = Vec::with_capacity(1 + head.len());
+        leading.push(asn);
+        leading.extend_from_slice(head);
+        let mut segments = Vec::with_capacity(1 + rest.len());
+        segments.push(AsPathSegment::Sequence(leading));
+        segments.extend_from_slice(rest);
         AsPath { segments }
+    }
+
+    /// What [`AsPath::prepend`] builds, for any `asn`, as two borrowed
+    /// parts: the ASes that follow `asn` in the new leading AS_SEQUENCE,
+    /// and the segments after that one. A leading sequence with room is
+    /// extended (an empty one included); otherwise a new one is opened.
+    /// Two paths prepend to equal paths exactly when their parts are
+    /// equal, so callers can compare prepended paths without building
+    /// them.
+    pub fn prepend_parts(&self) -> (&[Asn], &[AsPathSegment]) {
+        match self.segments.as_slice() {
+            [AsPathSegment::Sequence(asns), rest @ ..] if asns.len() < 255 => (asns, rest),
+            segments => (&[], segments),
+        }
     }
 
     /// On-the-wire size of the attribute value.
