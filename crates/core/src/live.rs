@@ -75,7 +75,7 @@ fn session<'a>(
 fn wait_transactions(daemon: &BgpDaemon, target: u64, timeout: Duration) -> io::Result<f64> {
     let start = Instant::now();
     loop {
-        if daemon.snapshot().transactions >= target {
+        if daemon.transactions() >= target {
             return Ok(start.elapsed().as_secs_f64());
         }
         if start.elapsed() > timeout {
@@ -83,7 +83,7 @@ fn wait_transactions(daemon: &BgpDaemon, target: u64, timeout: Duration) -> io::
                 io::ErrorKind::TimedOut,
                 format!(
                     "daemon processed {} of {target} transactions before timeout",
-                    daemon.snapshot().transactions
+                    daemon.transactions()
                 ),
             ));
         }

@@ -16,6 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::Sender;
@@ -53,7 +54,6 @@ const EAGER_FLUSH_TRANSACTIONS: usize = 32;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct CoreStats {
     pub updates_received: u64,
-    pub transactions: u64,
 }
 
 /// Per-session counters, exposed via
@@ -273,6 +273,12 @@ pub(crate) struct Core {
     changes: Vec<Change>,
     next_peer: u32,
     stats: CoreStats,
+    /// Prefix-level transactions processed, published once per UPDATE
+    /// so progress can be polled without the core lock. Only the lock
+    /// holder writes it. Its `Release` store pairs with the `Acquire`
+    /// load in [`crate::BgpDaemon::transactions`]: a poller that reads a
+    /// count also sees the work that produced it.
+    transactions: Arc<AtomicU64>,
 }
 
 /// A run of input handled under one hold of the core lock. Output it
@@ -323,7 +329,14 @@ impl Core {
             changes: Vec::new(),
             next_peer: 1,
             stats: CoreStats::default(),
+            transactions: Arc::new(AtomicU64::new(0)),
         }
+    }
+
+    /// The published transaction count, read by
+    /// [`crate::BgpDaemon::transactions`].
+    pub(crate) fn transactions_counter(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.transactions)
     }
 
     pub(crate) fn config(&self) -> &DaemonConfig {
@@ -397,7 +410,7 @@ impl Core {
             });
         decisions.finish();
         if removed.is_ok() {
-            self.fib_gauges();
+            self.table_gauges();
             self.propagate();
             self.flush();
         }
@@ -412,11 +425,12 @@ impl Core {
                 decisions.record(outcome, before, after);
             });
         let transactions = decisions.finish();
-        self.fib_gauges();
+        self.table_gauges();
         self.propagate();
         applied?;
         self.stats.updates_received += 1;
-        self.stats.transactions += transactions as u64;
+        let total = self.transactions.load(Ordering::Relaxed) + transactions as u64;
+        self.transactions.store(total, Ordering::Release);
         if let Some(peer) = self.peers.get_mut(&peer) {
             peer.stats.updates_in += 1;
             peer.stats.prefixes_in += transactions as u64;
@@ -427,9 +441,10 @@ impl Core {
         Ok(())
     }
 
-    fn fib_gauges(&self) {
+    fn table_gauges(&self) {
         telemetry::gauge(MetricId::FibNodes, self.fib.node_count() as u64);
         telemetry::gauge(MetricId::FibBytes, self.fib.heap_bytes() as u64);
+        telemetry::gauge(MetricId::RibBytes, self.engine.heap_bytes() as u64);
     }
 
     /// Stages, toward every established peer, what the last engine

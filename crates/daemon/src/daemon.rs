@@ -2,7 +2,7 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
@@ -36,6 +36,8 @@ pub struct DaemonSnapshot {
 #[derive(Debug)]
 pub struct BgpDaemon {
     core: Arc<Mutex<Core>>,
+    /// The core's published transaction count.
+    transactions: Arc<AtomicU64>,
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
@@ -50,7 +52,9 @@ impl BgpDaemon {
     pub fn start(config: DaemonConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(config.bind_addr)?;
         let local_addr = listener.local_addr()?;
-        let core = Arc::new(Mutex::new(Core::new(config)));
+        let core = Core::new(config);
+        let transactions = core.transactions_counter();
+        let core = Arc::new(Mutex::new(core));
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let accept_core = Arc::clone(&core);
@@ -63,6 +67,7 @@ impl BgpDaemon {
 
         Ok(BgpDaemon {
             core,
+            transactions,
             local_addr,
             shutdown,
             accept_thread: Some(accept_thread),
@@ -79,7 +84,16 @@ impl BgpDaemon {
         self.core.lock().peer_snapshots()
     }
 
-    /// A consistent snapshot of sessions, RIB, and FIB state.
+    /// Prefix-level transactions processed so far. Read without the
+    /// core lock, so polling it does not hold up the sessions; it moves
+    /// once per applied UPDATE.
+    pub fn transactions(&self) -> u64 {
+        self.transactions.load(Ordering::Acquire)
+    }
+
+    /// A consistent snapshot of sessions, RIB, and FIB state. It takes
+    /// the core lock and walks the RIB ([`RibStats::adj_out_groups`]);
+    /// to poll progress, use [`BgpDaemon::transactions`].
     pub fn snapshot(&self) -> DaemonSnapshot {
         let core = self.core.lock();
         DaemonSnapshot {
@@ -87,7 +101,7 @@ impl BgpDaemon {
             loc_rib_len: core.loc_rib_len(),
             fib_len: core.fib_len(),
             updates_received: core.stats().updates_received,
-            transactions: core.stats().transactions,
+            transactions: self.transactions(),
             rib: core.rib_stats(),
         }
     }

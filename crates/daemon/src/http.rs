@@ -151,7 +151,11 @@ mod tests {
             metrics.contains("# TYPE bgpbench_session_flaps counter"),
             "stable series present even at zero: {metrics}"
         );
-        for gauge in ["bgpbench_fib_nodes", "bgpbench_fib_bytes"] {
+        for gauge in [
+            "bgpbench_fib_nodes",
+            "bgpbench_fib_bytes",
+            "bgpbench_rib_bytes",
+        ] {
             assert!(
                 metrics.contains(&format!("# TYPE {gauge} gauge")),
                 "{metrics}"

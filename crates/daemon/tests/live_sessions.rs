@@ -87,6 +87,33 @@ fn phase1_table_injection_reaches_rib_and_fib() {
     daemon.shutdown();
 }
 
+/// The lock-free progress count is the snapshot's count, and both are
+/// what the engine was fed.
+#[test]
+fn transactions_poll_agrees_with_the_snapshot_after_a_flood() {
+    let daemon = BgpDaemon::start(DaemonConfig::default()).unwrap();
+    let mut speaker = LiveSpeaker::connect(
+        daemon.local_addr(),
+        &speaker1_config(),
+        Duration::from_secs(5),
+    )
+    .unwrap();
+    assert_eq!(daemon.transactions(), 0);
+    let table = TableGenerator::new(11).generate(3000);
+    let updates = workload::announcements(&table, &announce_spec(7, 3, 65001));
+    speaker.flood(&updates).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while daemon.transactions() < 3000 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let snapshot = daemon.snapshot();
+    assert_eq!(daemon.transactions(), 3000);
+    assert_eq!(snapshot.transactions, daemon.transactions());
+    assert_eq!(snapshot.rib.announcements, 3000);
+    assert_eq!(snapshot.updates_received, updates.len() as u64);
+    daemon.shutdown();
+}
+
 #[test]
 fn phase2_propagation_to_second_speaker() {
     let daemon = BgpDaemon::start(DaemonConfig::default()).unwrap();

@@ -4,9 +4,12 @@
 //! Internally the engine keeps a *single* prefix-keyed table whose
 //! entries hold every peer's route for that prefix plus the index of
 //! the decision winner — the shared-entry layout production stacks
-//! use. One hash probe per prefix then covers "look up the peer's old
-//! route", "store the new one", and "consult the current best", where
-//! the textbook per-peer-map-plus-Loc-RIB-map arrangement needs three.
+//! use. One probe of the table's index per prefix then covers "look up
+//! the peer's old route", "store the new one", and "consult the current
+//! best", where the textbook per-peer-map-plus-Loc-RIB-map arrangement
+//! needs three. The index maps a prefix to a 4-byte slot number in an
+//! arena whose entries never move (`table`), so a growing table
+//! rehashes 12-byte buckets, not whole entries.
 //! [`AdjRibIn`] and [`LocRib`] remain available as borrowing views
 //! over that table, so the RFC 4271 §3.2 structure is still visible at
 //! the API.
@@ -22,6 +25,7 @@ use crate::decision::{compare_routes, DecisionConfig};
 use crate::fxhash::FxHashMap;
 use crate::policy::RouteMap;
 use crate::route::{PeerId, PeerInfo, Route, RouteAttributes};
+use crate::table::{Entry, PrefixTable};
 use crate::RibError;
 
 /// One peer's contribution to a prefix entry.
@@ -250,7 +254,7 @@ fn borrowed((peer, attrs): (PeerId, &Arc<RouteAttributes>)) -> (PeerId, &RouteAt
 /// [`AdjRibIn::len`] and [`AdjRibIn::iter`] walk the table.
 #[derive(Debug, Clone, Copy)]
 pub struct AdjRibIn<'a> {
-    rib: &'a FxHashMap<Prefix, PrefixEntry>,
+    rib: &'a PrefixTable<PrefixEntry>,
     peer: PeerId,
 }
 
@@ -295,7 +299,7 @@ impl<'a> AdjRibIn<'a> {
 /// [`Route`] (two `Copy` fields plus an `Arc` bump).
 #[derive(Debug, Clone, Copy)]
 pub struct LocRib<'a> {
-    rib: &'a FxHashMap<Prefix, PrefixEntry>,
+    rib: &'a PrefixTable<PrefixEntry>,
 }
 
 impl<'a> LocRib<'a> {
@@ -484,7 +488,7 @@ pub struct RibEngine {
     import_policy: RouteMap,
     export_policy: RouteMap,
     peers: FxHashMap<PeerId, PeerInfo>,
-    rib: FxHashMap<Prefix, PrefixEntry>,
+    rib: PrefixTable<PrefixEntry>,
     attr_store: AttrStore,
     stats: RibStats,
 }
@@ -500,7 +504,7 @@ impl RibEngine {
             import_policy: RouteMap::permit_all(),
             export_policy: RouteMap::permit_all(),
             peers: FxHashMap::default(),
-            rib: FxHashMap::default(),
+            rib: PrefixTable::default(),
             attr_store: AttrStore::new(),
             stats: RibStats::default(),
         }
@@ -654,6 +658,15 @@ impl RibEngine {
         stats
     }
 
+    /// Bytes of heap the prefix table holds: its index buckets and its
+    /// route arena in whole chunks, full or not (the way the FIB counts
+    /// its trie). The attribute sets the routes share are the
+    /// [`AttrStore`]'s, and a multi-route prefix's overflow list is not
+    /// counted.
+    pub fn heap_bytes(&self) -> usize {
+        self.rib.heap_bytes()
+    }
+
     /// The path-attribute interner backing this engine's RIBs.
     pub fn attr_store(&self) -> &AttrStore {
         &self.attr_store
@@ -802,7 +815,7 @@ impl RibEngine {
         // Policy may rewrite attributes per prefix; the permit-all
         // common case reuses the interned Arc without evaluation.
         let permit_all = self.import_policy.is_empty();
-        // Grow the table once per batch, not mid-loop.
+        // Grow the table's index once per batch, not mid-loop.
         self.rib.reserve(nlri.len());
 
         for prefix in nlri {
@@ -853,7 +866,6 @@ impl RibEngine {
         attrs: Arc<RouteAttributes>,
         mut sink: impl DecisionSink,
     ) {
-        use std::collections::hash_map::Entry;
         let stats = &mut self.stats;
         let old = match self.rib.entry(prefix) {
             Entry::Vacant(slot) => {
@@ -934,7 +946,6 @@ impl RibEngine {
     }
 
     fn withdraw_one(&mut self, peer: PeerId, prefix: Prefix, mut sink: impl DecisionSink) {
-        use std::collections::hash_map::Entry;
         let unknown = PrefixOutcome {
             prefix,
             change: RouteChange::WithdrawnUnknown,
@@ -945,7 +956,7 @@ impl RibEngine {
             return;
         };
         let Some(index) = slot.get().position(peer) else {
-            let best = slot.get().best();
+            let best = slot.into_mut().best();
             sink(unknown, Some(borrowed(best)), Some(best));
             return;
         };

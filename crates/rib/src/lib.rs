@@ -56,6 +56,7 @@ pub mod fxhash;
 mod policy;
 mod route;
 mod shard;
+mod table;
 
 pub use adj_out::{AdjRibOut, ExportAction, OutboundUpdate};
 pub use attr_store::{AttrStore, AttrStoreStats};
