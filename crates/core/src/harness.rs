@@ -202,8 +202,6 @@ fn drive(router: &mut SimRouter, cell: &CellSpec) -> ScenarioResult {
         "workload source {} produced an empty table",
         source.describe()
     );
-    // Shard count must be set while the RIB is still empty.
-    router.set_rib_shards(cell.rib_shards);
     router.set_cross_traffic_mbps(cell.cross_traffic_mbps);
     // A cell override beats the scenario's own profile; both absent
     // leaves the engine's default permit-all maps in place, which is

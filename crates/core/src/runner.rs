@@ -80,7 +80,6 @@ pub struct CellSpec {
     prefixes_per_update: Option<usize>,
     pub(crate) churn: ChurnConfig,
     pub(crate) policy: Option<PolicyProfile>,
-    pub(crate) rib_shards: usize,
     pub(crate) workload: Option<WorkloadSpec>,
 }
 
@@ -98,7 +97,6 @@ impl CellSpec {
             prefixes_per_update: None,
             churn: ChurnConfig::default(),
             policy: None,
-            rib_shards: 1,
             workload: None,
         }
     }
@@ -144,14 +142,6 @@ impl CellSpec {
     /// Sets the session hold time in ticks for churn scenarios.
     pub fn hold_ticks(mut self, ticks: u64) -> Self {
         self.churn.hold_ticks = ticks;
-        self
-    }
-
-    /// Sets the RIB shard count on the router under test. Results are
-    /// bit-identical for every value; 1 (the default) is the
-    /// single-threaded engine.
-    pub fn rib_shards(mut self, shards: usize) -> Self {
-        self.rib_shards = shards;
         self
     }
 

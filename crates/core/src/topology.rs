@@ -112,8 +112,6 @@ impl Topology {
             })
             .collect();
         let mut router = SimRouter::with_peers(&cell.platform, &infos, Asn(65000));
-        // Shard count must be set while the RIB is still empty.
-        router.set_rib_shards(cell.rib_shards);
         let table = TableGenerator::new(cell.seed).generate(cell.prefixes);
         let timers = SessionTimers {
             hold_ticks: hold_ticks.max(3),

@@ -1,7 +1,6 @@
 //! Internet-scale workload scenarios (S16–S18): quick-size smoke
-//! runs, serial/parallel grid determinism, shard invariance, and the
-//! `WorkloadSpec` override path (including MRT replay driving the
-//! harness).
+//! runs, serial/parallel grid determinism, and the `WorkloadSpec`
+//! override path (including MRT replay driving the harness).
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -52,19 +51,6 @@ fn fulltable_grid_is_bit_identical_serial_vs_parallel() {
         serial, parallel,
         "thread count must never change a full-table result"
     );
-}
-
-#[test]
-fn fulltable_is_bit_identical_at_one_and_four_shards() {
-    for scenario in Scenario::FULLTABLE {
-        let single = quick(scenario).rib_shards(1).run();
-        let sharded = quick(scenario).rib_shards(4).run();
-        assert_eq!(
-            single, sharded,
-            "{scenario}: shard count changed the simulated result"
-        );
-        assert!(single.completed, "{scenario} did not complete");
-    }
 }
 
 #[test]

@@ -8,7 +8,7 @@ use bgpbench_simnet::{Job, ProcessBuilder, ProcessId, SchedClass, TickContext};
 
 use crate::costs::IosCosts;
 use crate::crosstraffic::JOB_KFWD;
-use crate::plane::ControlPlane;
+use crate::plane::{self, ControlPlane};
 
 const JOB_MSG: u16 = 20;
 const JOB_EXPORT: u16 = 21;
@@ -91,9 +91,7 @@ impl IosPipeline {
         let mut room = INPUT_LIMIT.saturating_sub(ctx.queue_len(self.ios));
         plane.take_input(&mut room, |engine, peer, update| {
             let n_wd = update.withdrawn().len();
-            let outcomes = engine
-                .apply_update(peer, &update)
-                .expect("benchmark updates are well-formed");
+            let outcomes = plane::apply_update(engine, peer, &update);
             let mut cycles = 0.0;
             let mut directives = Vec::new();
             for (i, outcome) in outcomes.iter().enumerate() {

@@ -8,16 +8,17 @@
 //! Everything the two platforms must agree on — which messages a
 //! faulted link delivers and in what order, what an export carries,
 //! how FIB directives are applied and counted, what a session-down
-//! purge removes — is written here once.
+//! purge removes, how an UPDATE reaches the engine — is written here
+//! once.
 
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use bgpbench_fib::{Fib, NextHop};
-use bgpbench_rib::{AdjRibOut, FibDirective, PeerId, PeerInfo, ShardedRibEngine};
+use bgpbench_rib::{AdjRibOut, FibDirective, PeerId, PeerInfo, PrefixOutcome, RibEngine};
 use bgpbench_simnet::{ProcessId, TickContext};
 use bgpbench_speaker::SpeakerScript;
-use bgpbench_telemetry::{self as telemetry, MetricId, SpanId};
+use bgpbench_telemetry::{self as telemetry, MetricId, SpanId, TraceEventId};
 use bgpbench_wire::{Asn, RouterId, UpdateMessage};
 
 use crate::crosstraffic::CrossTraffic;
@@ -53,7 +54,7 @@ pub(crate) struct Link {
 /// What both platform models own and do identically.
 #[derive(Debug)]
 pub(crate) struct ControlPlane {
-    pub(crate) engine: ShardedRibEngine,
+    pub(crate) engine: RibEngine,
     fib: Fib,
     links: Vec<Link>,
     export_queue: VecDeque<UpdateMessage>,
@@ -73,7 +74,7 @@ impl ControlPlane {
         local_asn: Asn,
     ) -> Self {
         let local_address = Ipv4Addr::new(10, 0, 0, 1);
-        let mut engine = ShardedRibEngine::new(local_asn, RouterId(u32::from(local_address)));
+        let mut engine = RibEngine::new(local_asn, RouterId(u32::from(local_address)));
         let links = speakers
             .iter()
             .map(|info| Link {
@@ -196,7 +197,7 @@ impl ControlPlane {
     pub(crate) fn take_input(
         &mut self,
         room: &mut usize,
-        mut accept: impl FnMut(&mut ShardedRibEngine, PeerId, UpdateMessage),
+        mut accept: impl FnMut(&mut RibEngine, PeerId, UpdateMessage),
     ) {
         for link in &mut self.links {
             // A down link accepts no input and accrues no send
@@ -306,4 +307,23 @@ impl ControlPlane {
             }
         }
     }
+}
+
+/// Runs one UPDATE through `engine`: what both cost models do when
+/// their pipeline reaches the decision process. The flight recorder
+/// gets a shard-0 `rib.shard.apply` span around it, so a simulated
+/// run's timeline keeps its RIB track.
+pub(crate) fn apply_update(
+    engine: &mut RibEngine,
+    peer: PeerId,
+    update: &UpdateMessage,
+) -> Vec<PrefixOutcome> {
+    let _trace = telemetry::trace_span(
+        TraceEventId::ShardApply,
+        0,
+        update.transaction_count() as u64,
+    );
+    engine
+        .apply_update(peer, update)
+        .expect("benchmark updates are well-formed")
 }

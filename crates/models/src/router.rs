@@ -354,17 +354,6 @@ impl SimRouter {
         self.plane().fib().get(prefix).map(|hop| hop.gateway())
     }
 
-    /// Repartitions the platform's (still-empty) RIB into `shards`
-    /// shards. A configuration-time knob: call before any script runs.
-    /// Shard count never changes the *simulated* cost attribution: the
-    /// platforms model 2007-era single-threaded daemons, so cycle
-    /// charges depend only on the per-prefix outcomes, which are
-    /// bit-identical across shard counts; only host-side throughput
-    /// changes.
-    pub fn set_rib_shards(&mut self, shards: usize) {
-        self.plane_mut().engine.set_shards(shards);
-    }
-
     /// Installs the import route-map (Adj-RIB-In → Loc-RIB) on the
     /// platform's routing engine.
     pub fn set_import_policy(&mut self, policy: RouteMap) {

@@ -9,7 +9,7 @@ use bgpbench_wire::UpdateMessage;
 
 use crate::costs::XorpCosts;
 use crate::crosstraffic::JOB_KFWD;
-use crate::plane::ControlPlane;
+use crate::plane::{self, ControlPlane};
 
 const JOB_PARSE: u16 = 1;
 const JOB_POLICY: u16 = 2;
@@ -124,10 +124,7 @@ impl XorpPipeline {
         let (peer, update) = self.inbox.remove(&tag).expect("parse without inbox entry");
         let n_ann = update.nlri().len() as u32;
         let n_wd = update.withdrawn().len() as u32;
-        let outcomes = plane
-            .engine
-            .apply_update(peer, &update)
-            .expect("benchmark updates are well-formed");
+        let outcomes = plane::apply_update(&mut plane.engine, peer, &update);
         let costs = &self.costs;
         // Each configured route-map entry adds one evaluation pass on
         // top of the baseline policy cost, so an empty (permit-all)
@@ -388,7 +385,7 @@ mod tests {
         assert!(outcome.went_idle());
         let model = &sim.model().plane;
         assert_eq!(model.engine.loc_rib().len(), 200);
-        assert_eq!(model.engine.attr_store_len(), 1);
+        assert_eq!(model.engine.attr_store().len(), 1);
         let rib = model.engine.adj_rib_in(PeerId(1)).unwrap();
         let a = rib.get(&table[0]).unwrap();
         let b = rib.get(&table[199]).unwrap();

@@ -420,13 +420,13 @@ pub(crate) fn collect_into(outcomes: &mut Vec<PrefixOutcome>) -> impl DecisionSi
 
 /// Per-message counts for [`record_apply_telemetry`].
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ApplyCounts {
+struct ApplyCounts {
     prefixes: u64,
     best_changed: u64,
 }
 
 impl ApplyCounts {
-    pub(crate) fn add(&mut self, outcome: &PrefixOutcome) {
+    fn add(&mut self, outcome: &PrefixOutcome) {
         self.prefixes += 1;
         match outcome.change {
             RouteChange::Installed | RouteChange::Replaced { .. } | RouteChange::Withdrawn => {
@@ -672,23 +672,6 @@ impl RibEngine {
         &self.attr_store
     }
 
-    /// The distinct best-route attribute sets currently selected in the
-    /// Loc-RIB, deduplicated by interned pointer. The sharded engine
-    /// merges these across shards (by value) to compute
-    /// [`RibStats::adj_out_groups`].
-    pub(crate) fn distinct_best_attrs(&self) -> Vec<&Arc<RouteAttributes>> {
-        let mut seen: crate::fxhash::FxHashSet<*const RouteAttributes> =
-            crate::fxhash::FxHashSet::default();
-        let mut out = Vec::new();
-        for entry in self.rib.values() {
-            let attrs = &entry.best_route().1;
-            if seen.insert(Arc::as_ptr(attrs)) {
-                out.push(attrs);
-            }
-        }
-        out
-    }
-
     /// Processes one UPDATE from `peer`: withdrawals first, then
     /// announcements, per RFC 4271 §3.1. Returns one outcome per
     /// prefix, in message order.
@@ -770,10 +753,11 @@ impl RibEngine {
     }
 
     /// Processes a batch of withdrawals in order, one step per prefix.
-    /// Shared by the single-engine path and the sharded fan-out (each
+    /// Shared by the single-engine path and the sharded train (each
     /// shard receives the message's sub-slice for its prefixes);
-    /// deliberately does *not* bump [`RibStats::updates`] — the caller
-    /// accounts for whole messages.
+    /// deliberately does *not* bump [`RibStats::updates`] — a shard
+    /// sees only a slice of a message, so only `apply_update` counts
+    /// whole messages.
     pub(crate) fn apply_withdrawals(
         &mut self,
         peer: PeerId,
@@ -788,7 +772,7 @@ impl RibEngine {
 
     /// Processes a batch of announcements sharing one decoded attribute
     /// set, one step per prefix. Shared by the single-engine path and
-    /// the sharded fan-out; like [`RibEngine::apply_withdrawals`], does
+    /// the sharded train; like [`RibEngine::apply_withdrawals`], does
     /// not bump [`RibStats::updates`].
     pub(crate) fn apply_announcements(
         &mut self,
@@ -1052,10 +1036,10 @@ impl RibEngine {
 }
 
 /// Records the per-update metrics, counter deltas and gauges for one
-/// applied UPDATE. Shared by [`RibEngine::apply_update`] and the
-/// sharded engine's fan-out path so both emit an identical telemetry
-/// shape.
-pub(crate) fn record_apply_telemetry(
+/// applied UPDATE: [`RibEngine::apply_update`]'s, and per message of a
+/// sharded train through [`record_train_telemetry`], so both emit an
+/// identical telemetry shape.
+fn record_apply_telemetry(
     update: &UpdateMessage,
     host_ns: u64,
     attrs_before: crate::attr_store::AttrStoreStats,

@@ -19,6 +19,13 @@
 //! That distinction is the crux of the paper's benchmark: Scenarios 5/6
 //! send announcements that lose the decision process (no FIB change),
 //! while Scenarios 7/8 send announcements that win it (FIB change).
+//! The simulator's platform models and `bgpd` both run one
+//! [`RibEngine`].
+//!
+//! [`ShardedRibEngine`] partitions the table across N engines and
+//! applies a *train* of UPDATEs with one fork/join; it is what the
+//! repo benchmark samples the train with, not a second engine behind
+//! either caller.
 //!
 //! # Examples
 //!
@@ -69,4 +76,4 @@ pub use policy::{MatchClause, PrefixList, PrefixMatch, RouteMap, RouteMapEntry, 
 pub use route::{
     Aggregator, PeerId, PeerInfo, Route, RouteAttributes, RouteAttributesBuilder, UnknownTransitive,
 };
-pub use shard::{ShardedAdjRibIn, ShardedLocRib, ShardedRibEngine, MAX_RIB_SHARDS};
+pub use shard::ShardedRibEngine;

@@ -10,12 +10,12 @@
 //! engine's pointer-identity shortcuts or decision early-outs ever
 //! diverge from plain value semantics, these tests catch it.
 //!
-//! The real side is a [`ShardedRibEngine`] whose shard count each case
-//! draws from {1, 2, 3, 4, 8}: one shard is the wholesale-delegation
-//! path (the original engine), more shards exercise the partition /
-//! per-shard apply / message-order merge machinery — all against the
-//! same single-table reference, so sharding is proven bit-invariant,
-//! not just internally consistent.
+//! The per-message properties run a [`RibEngine`] against the
+//! reference. The train properties run [`ShardedRibEngine`]'s
+//! `apply_update_train` at several shard counts against a `RibEngine`
+//! fed the same messages one at a time, so the partition / per-shard
+//! apply / message-order merge machinery is proven bit-invariant, not
+//! just internally consistent.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -23,10 +23,10 @@ use std::net::Ipv4Addr;
 
 use bgpbench_rib::{
     compare_routes, DecisionConfig, FibDirective, MatchClause, PeerId, PeerInfo, PrefixList,
-    PrefixMatch, PrefixOutcome, RibEngine, RibStats, RouteAttributes, RouteChange, RouteMap,
-    RouteMapEntry, SetClause, ShardedRibEngine,
+    PrefixMatch, PrefixOutcome, RibEngine, RibError, RibStats, RouteAttributes, RouteChange,
+    RouteMap, RouteMapEntry, SetClause, ShardedRibEngine,
 };
-use bgpbench_wire::{AsPath, Asn, Origin, Prefix, RouterId, UpdateMessage};
+use bgpbench_wire::{AsPath, Asn, Origin, PathAttribute, Prefix, RouterId, UpdateMessage};
 use proptest::prelude::*;
 
 const LOCAL_ASN: Asn = Asn(65000);
@@ -355,11 +355,58 @@ fn build_message(
     builder.build()
 }
 
-/// The shard counts every equivalence property samples: the delegation
-/// path (1), counts that split the three-peer pools unevenly (2, 3),
-/// and the benchmarked count plus one beyond it (4, 8).
+/// The shard counts the train property samples: the one-engine loop
+/// (1), counts that split the prefix pools unevenly (2, 3), and the
+/// benchmarked count plus one beyond it (4, 8).
 fn arb_shards() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), Just(2), Just(3), Just(4), Just(8)]
+}
+
+/// A train engine at `shards` shards with `peers` registered.
+fn train_engine(shards: usize, peers: &[PeerInfo]) -> ShardedRibEngine {
+    let mut engine = ShardedRibEngine::new(LOCAL_ASN, RouterId(1));
+    for info in peers {
+        engine.add_peer(*info);
+    }
+    engine.set_shards(shards);
+    engine
+}
+
+/// A plain engine with `peers` registered.
+fn plain_engine(peers: &[PeerInfo]) -> RibEngine {
+    let mut engine = RibEngine::new(LOCAL_ASN, RouterId(1));
+    for info in peers {
+        engine.add_peer(*info);
+    }
+    engine
+}
+
+/// The union of `engines`' Loc-RIBs, by value.
+fn loc_rib_of(engines: &[RibEngine]) -> BTreeMap<Prefix, (PeerId, RouteAttributes)> {
+    let mut routes = BTreeMap::new();
+    for engine in engines {
+        for route in engine.loc_rib().iter() {
+            let previous = routes.insert(
+                route.prefix(),
+                (route.learned_from(), RouteAttributes::clone(route.attrs())),
+            );
+            assert!(previous.is_none(), "a prefix lives on one shard");
+        }
+    }
+    routes
+}
+
+/// Distinct attribute values interned across `engines`' stores.
+fn distinct_attrs(engines: &[RibEngine]) -> usize {
+    let mut values: Vec<&RouteAttributes> = Vec::new();
+    for engine in engines {
+        for attrs in engine.attr_store().iter() {
+            if !values.contains(&attrs.as_ref()) {
+                values.push(attrs);
+            }
+        }
+    }
+    values.len()
 }
 
 /// Drives the engines through the same stream and asserts identical
@@ -367,7 +414,6 @@ fn arb_shards() -> impl Strategy<Value = usize> {
 /// A second real engine takes the stream through the sink form, whose
 /// per-prefix bests must be the reference's.
 fn check_equivalence(
-    shards: usize,
     attr_pool: &[RouteAttributes],
     prefix_pool: &[Prefix],
     ops: &[Op],
@@ -375,11 +421,7 @@ fn check_equivalence(
 ) -> Result<(), TestCaseError> {
     let peers = peer_pool();
     let build = || {
-        let mut engine = ShardedRibEngine::new(LOCAL_ASN, RouterId(1));
-        for info in &peers {
-            engine.add_peer(*info);
-        }
-        engine.set_shards(shards);
+        let mut engine = plain_engine(&peers);
         engine.set_import_policy(policy.clone());
         engine
     };
@@ -405,16 +447,9 @@ fn check_equivalence(
             reported.push((outcome, before, after));
         })
         .unwrap();
-        // Past one shard, steps come shard by shard; a prefix's own
-        // steps keep message order either way.
-        let mut expected = reference.steps.clone();
-        if shards > 1 {
-            reported.sort_by_key(|(outcome, ..)| outcome.prefix);
-            expected.sort_by_key(|(outcome, ..)| outcome.prefix);
-        }
         prop_assert_eq!(
             &reported,
-            &expected,
+            &reference.steps,
             "sink reports diverge at step {}",
             step
         );
@@ -427,7 +462,12 @@ fn check_equivalence(
                 "at step {}",
                 step
             );
-            prop_assert_eq!(engine.attr_store_len() as u64, entries, "at step {}", step);
+            prop_assert_eq!(
+                engine.attr_store().len() as u64,
+                entries,
+                "at step {}",
+                step
+            );
         }
     }
     prop_assert_eq!(sunk.stats(), real.stats());
@@ -454,7 +494,7 @@ fn check_equivalence(
     // The point-in-time sizes are internally consistent too: the store
     // backs every live Adj-RIB-In entry, and each export group is one
     // of its interned sets chosen as a best route.
-    prop_assert_eq!(stats.attr_store_entries, real.attr_store_len() as u64);
+    prop_assert_eq!(stats.attr_store_entries, real.attr_store().len() as u64);
     prop_assert!(stats.adj_out_groups <= stats.attr_store_entries);
     prop_assert!(stats.adj_out_groups <= real.loc_rib().len() as u64);
     if !reference.loc_rib.is_empty() {
@@ -490,32 +530,30 @@ proptest! {
     /// Permit-all policy: the pure interned fast path.
     #[test]
     fn interned_engine_matches_reference(
-        shards in arb_shards(),
         attr_pool in prop::collection::vec(arb_attrs(), 2..5),
         prefix_pool in arb_prefix_pool(),
         ops in arb_ops(),
     ) {
-        check_equivalence(shards, &attr_pool, &prefix_pool, &ops, RouteMap::permit_all())?;
+        check_equivalence(&attr_pool, &prefix_pool, &ops, RouteMap::permit_all())?;
     }
 
     /// A rewriting/rejecting policy exercises the intern-after-policy
-    /// path (rewritten attribute sets are interned separately) —
-    /// per shard, under sharding.
+    /// path (rewritten attribute sets are interned separately).
     #[test]
     fn interned_engine_matches_reference_under_policy(
-        shards in arb_shards(),
         attr_pool in prop::collection::vec(arb_attrs(), 2..5),
         prefix_pool in arb_prefix_pool(),
         ops in arb_ops(),
     ) {
-        check_equivalence(shards, &attr_pool, &prefix_pool, &ops, test_policy())?;
+        check_equivalence(&attr_pool, &prefix_pool, &ops, test_policy())?;
     }
 
     /// A whole train through the batch API must be indistinguishable
-    /// from feeding the same messages one at a time: same per-update
-    /// outcome vectors, same tables, same stats, same interned set
-    /// count — at every shard count, which on a multi-core host drives
-    /// the scoped-thread fan-out itself.
+    /// from feeding the same messages to one engine one at a time:
+    /// same per-update outcome vectors, same Loc-RIB across the
+    /// shards, same distinct attribute values — at every shard count,
+    /// which on a multi-core host drives the scoped-thread fan-out
+    /// itself.
     #[test]
     fn update_train_matches_one_at_a_time(
         shards in arb_shards(),
@@ -524,17 +562,8 @@ proptest! {
         ops in arb_ops(),
     ) {
         let peers = peer_pool();
-        let build = || {
-            let mut engine = ShardedRibEngine::new(LOCAL_ASN, RouterId(1));
-            for info in &peers {
-                engine.add_peer(*info);
-            }
-            engine.set_shards(shards);
-            engine.set_import_policy(test_policy());
-            engine
-        };
-        let mut train = build();
-        let mut sequential = build();
+        let mut train = train_engine(shards, &peers);
+        let mut sequential = plain_engine(&peers);
         // A train comes from one peer, so the ops' peer field stays
         // out of this property.
         let peer = peers[0].id();
@@ -555,17 +584,9 @@ proptest! {
             want.push(sequential.apply_update(peer, update).unwrap());
         }
         prop_assert_eq!(&got, &want);
-        prop_assert_eq!(train.stats(), sequential.stats());
-        prop_assert_eq!(train.attr_store_len(), sequential.attr_store_len());
-        prop_assert_eq!(train.loc_rib().len(), sequential.loc_rib().len());
-        for route in train.loc_rib().iter() {
-            let other = sequential
-                .loc_rib()
-                .get(&route.prefix())
-                .expect("missing Loc-RIB entry");
-            prop_assert_eq!(other.learned_from(), route.learned_from());
-            prop_assert_eq!(other.attrs().as_ref(), route.attrs().as_ref());
-        }
+        let one = std::slice::from_ref(&sequential);
+        prop_assert_eq!(loc_rib_of(train.shards()), loc_rib_of(one));
+        prop_assert_eq!(distinct_attrs(train.shards()), distinct_attrs(one));
     }
 
     /// A route-map whose single entry permits everything and rewrites
@@ -612,6 +633,81 @@ proptest! {
                 .expect("missing Loc-RIB entry");
             prop_assert_eq!(other.learned_from(), route.learned_from());
             prop_assert_eq!(other.attrs().as_ref(), route.attrs().as_ref());
+        }
+    }
+}
+
+/// An announcement whose attribute block lacks NEXT_HOP.
+fn without_next_hop(asn: u16, announce: &[Prefix], withdraw: &[Prefix]) -> UpdateMessage {
+    UpdateMessage::builder()
+        .withdraw_all(withdraw.iter().copied())
+        .attribute(PathAttribute::Origin(Origin::Igp))
+        .attribute(PathAttribute::AsPath(AsPath::from_sequence([Asn(asn)])))
+        .announce_all(announce.iter().copied())
+        .build()
+}
+
+/// A train whose message `k` lacks NEXT_HOP stops where one engine fed
+/// it one message at a time stops: with the same error, every message
+/// before `k` applied, and `k`'s withdrawals applied too.
+#[test]
+fn malformed_train_stops_where_one_at_a_time_stops() {
+    let peers = peer_pool();
+    let peer = peers[0].id();
+    let pool: Vec<Prefix> = (0..16u32)
+        .map(|i| Prefix::new_masked(Ipv4Addr::from(0x0A00_0000 + (i << 12)), 20).unwrap())
+        .collect();
+    // Message i withdraws the two prefixes the message before it
+    // announced first and announces four, so every message past the
+    // first changes what its predecessors left. The malformed message
+    // keeps its withdrawals.
+    let withdrawn = |i: usize| &pool[(2 * i).saturating_sub(2)..2 * i];
+    let message = |i: usize, k: usize| {
+        if i == k {
+            return without_next_hop(65001, &pool[2 * i..2 * i + 2], withdrawn(i));
+        }
+        let attrs = RouteAttributes::new(
+            Origin::Igp,
+            AsPath::from_sequence([Asn(65001), Asn(100 + i as u16)]),
+            Ipv4Addr::new(10, 0, 0, 2),
+        );
+        build_message(&attrs, &pool[2 * i..2 * i + 4], withdrawn(i))
+    };
+    for k in 0..6 {
+        let updates: Vec<UpdateMessage> = (0..6).map(|i| message(i, k)).collect();
+
+        let mut sequential = plain_engine(&peers);
+        let mut want = None;
+        for update in &updates {
+            if let Err(error) = sequential.apply_update(peer, update) {
+                want = Some(error);
+                break;
+            }
+        }
+        let want = want.expect("message k is malformed");
+        assert!(matches!(
+            want,
+            RibError::MissingMandatoryAttribute {
+                attribute: "NEXT_HOP",
+                ..
+            }
+        ));
+        if k > 0 {
+            assert!(
+                sequential.loc_rib().get(&pool[2 * k - 1]).is_none(),
+                "message {k}'s withdrawals must matter"
+            );
+        }
+
+        for shards in [1, 2, 4] {
+            let mut train = train_engine(shards, &peers);
+            let got = train.apply_update_train(peer, &updates);
+            assert_eq!(got, Err(want.clone()), "k={k}, {shards} shard(s)");
+            assert_eq!(
+                loc_rib_of(train.shards()),
+                loc_rib_of(std::slice::from_ref(&sequential)),
+                "k={k}, {shards} shard(s)"
+            );
         }
     }
 }

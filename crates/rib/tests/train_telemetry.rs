@@ -1,8 +1,8 @@
-//! Telemetry-shape parity for the sharded train path: a train applied
+//! Telemetry-shape parity for the sharded train: a train applied
 //! through 4 shards must record exactly the same aggregate span and
-//! counter *counts* as the same train through 1 shard, or the
-//! fig. 3–4 breakdown under-attributes RIB work whenever
-//! `rib_shards > 1`.
+//! counter *counts* as the same train through 1 shard, which is
+//! `RibEngine::apply_update` per message — or the benchmark's
+//! `rib.shard` sample would count different work than its `rib.train`.
 //!
 //! This is deliberately the only test in this binary: it flips the
 //! process-global telemetry switch, which parallel test threads in

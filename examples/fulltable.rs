@@ -6,17 +6,15 @@
 //! ```
 //!
 //! Defaults to 1,000,000 prefixes — the size of a 2020s IPv4 global
-//! routing table. S16 additionally runs at 1 and 4 RIB shards to show
-//! that sharding never changes the simulated result.
+//! routing table.
 
 use bgpbench::bench::{CellSpec, Scenario};
 use bgpbench::models::xeon;
 
-fn run(scenario: Scenario, prefixes: usize, rib_shards: usize) -> bgpbench::bench::ScenarioResult {
+fn run(scenario: Scenario, prefixes: usize) {
     let cell = CellSpec::new(scenario, xeon())
         .prefixes(prefixes)
-        .seed(2007)
-        .rib_shards(rib_shards);
+        .seed(2007);
     let start = std::time::Instant::now();
     let result = cell.run();
     let wall = start.elapsed();
@@ -25,14 +23,13 @@ fn run(scenario: Scenario, prefixes: usize, rib_shards: usize) -> bgpbench::benc
         "{scenario} must complete at {prefixes} prefixes"
     );
     println!(
-        "  {scenario} @ {rib_shards} shard(s): {} transactions in {:.2} simulated s \
+        "  {scenario}: {} transactions in {:.2} simulated s \
          ({:.0} tps), {:.1}s wall",
         result.transactions,
         result.elapsed_secs,
         result.tps(),
         wall.as_secs_f64(),
     );
-    result
 }
 
 fn main() {
@@ -48,13 +45,6 @@ fn main() {
 
     println!("Full-table scenarios, {prefixes} modern prefixes, simulated Xeon:");
     for scenario in Scenario::FULLTABLE {
-        run(scenario, prefixes, 1);
+        run(scenario, prefixes);
     }
-    let sharded = run(Scenario::S16, prefixes, 4);
-    assert_eq!(
-        run(Scenario::S16, prefixes, 1),
-        sharded,
-        "shard count must never change the simulated result"
-    );
-    println!("  S16 is bit-identical at 1 and 4 shards.");
 }
