@@ -1,8 +1,7 @@
 //! The black-box commercial-router (IOS) cost model, over the shared
 //! [`ControlPlane`].
 
-use std::collections::HashMap;
-
+use bgpbench_rib::fxhash::FxHashMap;
 use bgpbench_rib::{FibDirective, PeerId, RouteChange};
 use bgpbench_simnet::{Job, ProcessBuilder, ProcessId, SchedClass, TickContext};
 
@@ -38,7 +37,7 @@ pub(crate) struct IosPipeline {
     irq: ProcessId,
     /// UPDATEs inside the BGP process, by job tag: transaction count,
     /// sender, and the FIB writes owed on completion.
-    pending: HashMap<u64, (u32, PeerId, Vec<FibDirective>)>,
+    pending: FxHashMap<u64, (u32, PeerId, Vec<FibDirective>)>,
     next_tag: u64,
 }
 
@@ -50,7 +49,7 @@ impl IosPipeline {
             ios: builder.add_process("ios_bgp", SchedClass::User),
             kernel: builder.add_process("ios_fwd", SchedClass::Kernel),
             irq: builder.add_process("interrupts", SchedClass::Interrupt),
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             next_tag: 0,
         }
     }
@@ -91,7 +90,7 @@ impl IosPipeline {
         let mut room = INPUT_LIMIT.saturating_sub(ctx.queue_len(self.ios));
         plane.take_input(&mut room, |engine, peer, update| {
             let n_wd = update.withdrawn().len();
-            let outcomes = plane::apply_update(engine, peer, &update);
+            let outcomes = plane::apply_update(engine, peer, update);
             let mut cycles = 0.0;
             let mut directives = Vec::new();
             for (i, outcome) in outcomes.iter().enumerate() {

@@ -197,7 +197,7 @@ impl ControlPlane {
     pub(crate) fn take_input(
         &mut self,
         room: &mut usize,
-        mut accept: impl FnMut(&mut RibEngine, PeerId, UpdateMessage),
+        mut accept: impl FnMut(&mut RibEngine, PeerId, &UpdateMessage),
     ) {
         for link in &mut self.links {
             // A down link accepts no input and accrues no send
@@ -234,15 +234,16 @@ impl ControlPlane {
                 // Reordering link: take the next pair and deliver it in
                 // reversed arrival order (needs room for both).
                 let swap = link.reorder_next > 0 && *room >= 2 && allowance >= 2;
-                let mut batch = script.take(if swap { 2 } else { 1 }).to_vec();
+                let batch = script.take(if swap { 2 } else { 1 });
                 if batch.is_empty() {
                     break;
                 }
-                if swap && batch.len() == 2 {
+                let reversed = swap && batch.len() == 2;
+                if reversed {
                     link.reorder_next -= 1;
-                    batch.reverse();
                 }
-                for update in batch {
+                for i in 0..batch.len() {
+                    let update = &batch[if reversed { 1 - i } else { i }];
                     allowance = allowance.saturating_sub(1);
                     *room -= 1;
                     accept(&mut self.engine, link.peer, update);

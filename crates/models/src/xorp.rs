@@ -1,8 +1,7 @@
 //! The XORP cost model: five cooperating processes with calibrated
 //! per-stage cycle costs, over the shared [`ControlPlane`].
 
-use std::collections::HashMap;
-
+use bgpbench_rib::fxhash::FxHashMap;
 use bgpbench_rib::{FibDirective, PeerId, RouteChange};
 use bgpbench_simnet::{Job, ProcessBuilder, ProcessId, SchedClass, TickContext};
 use bgpbench_wire::UpdateMessage;
@@ -73,8 +72,8 @@ pub(crate) struct XorpPipeline {
     costs: XorpCosts,
     cpu_hz: f64,
     procs: Procs,
-    inbox: HashMap<u64, (PeerId, UpdateMessage)>,
-    pending: HashMap<u64, Pending>,
+    inbox: FxHashMap<u64, (PeerId, UpdateMessage)>,
+    pending: FxHashMap<u64, Pending>,
     next_tag: u64,
     /// Last time (seconds) pipeline backlogs were sampled.
     last_backlog_sample_s: f64,
@@ -96,8 +95,8 @@ impl XorpPipeline {
             costs,
             cpu_hz,
             procs,
-            inbox: HashMap::new(),
-            pending: HashMap::new(),
+            inbox: FxHashMap::default(),
+            pending: FxHashMap::default(),
             next_tag: 0,
             last_backlog_sample_s: 0.0,
         }
@@ -262,7 +261,7 @@ impl XorpPipeline {
                 + f64::from(n_wd) * self.costs.parse_wd;
             let tag = self.next_tag;
             self.next_tag += 1;
-            self.inbox.insert(tag, (peer, update));
+            self.inbox.insert(tag, (peer, update.clone()));
             ctx.push(
                 self.procs.bgp,
                 Job::new(JOB_PARSE, cycles)

@@ -24,6 +24,11 @@
 //! Everything is deterministic: the same model and parameters produce
 //! bit-identical results.
 //!
+//! A steady-state tick allocates nothing: the simulator owns its
+//! per-tick buffers and lists each class's processes once, at build
+//! time, so only the model's own work and a new recorder point touch
+//! the heap.
+//!
 //! # Examples
 //!
 //! A single process burning through one job:

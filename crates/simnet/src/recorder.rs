@@ -31,16 +31,15 @@ impl Series {
 
     /// Mean value over the window `[from, to)` of recorded points.
     pub fn mean_between(&self, from: f64, to: f64) -> f64 {
-        let window: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .map(|&(_, v)| v)
-            .collect();
-        if window.is_empty() {
-            0.0
-        } else {
-            window.iter().sum::<f64>() / window.len() as f64
+        let window = || {
+            self.points
+                .iter()
+                .filter(move |(t, _)| *t >= from && *t < to)
+                .map(|&(_, v)| v)
+        };
+        match window().count() {
+            0 => 0.0,
+            n => window().sum::<f64>() / n as f64,
         }
     }
 }
@@ -77,7 +76,12 @@ impl Recorder {
     ///
     /// Panics if points for one series are recorded out of time order.
     pub fn add_point(&mut self, channel: &str, time_secs: f64, value: f64) {
-        let series = self.series.entry(channel.to_owned()).or_default();
+        // Only a new channel pays for an owned key.
+        let Some(series) = self.series.get_mut(channel) else {
+            let points = vec![(time_secs, value)];
+            self.series.insert(channel.to_owned(), Series { points });
+            return;
+        };
         if let Some(&(last, _)) = series.points.last() {
             assert!(
                 time_secs >= last,

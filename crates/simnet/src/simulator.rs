@@ -67,7 +67,16 @@ pub struct ProcessBuilder {
 
 impl ProcessBuilder {
     /// Adds a process and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a process of this name is already registered: the
+    /// name keys its `cpu:<name>` series and its telemetry counter.
     pub fn add_process(&mut self, name: &str, class: SchedClass) -> ProcessId {
+        assert!(
+            self.processes.iter().all(|p| p.name != name),
+            "process name {name:?} registered twice"
+        );
         self.processes.push(Process::new(name.to_owned(), class));
         ProcessId(self.processes.len() - 1)
     }
@@ -78,7 +87,7 @@ impl ProcessBuilder {
 pub struct TickContext<'a> {
     now: SimTime,
     queue_lens: &'a [usize],
-    pushes: Vec<(ProcessId, Job)>,
+    pushes: &'a mut Vec<(ProcessId, Job)>,
     recorder: &'a mut Recorder,
 }
 
@@ -168,6 +177,19 @@ pub struct Simulator<M> {
     /// name at build time so the per-tick attribution loop is an
     /// indexed lookup.
     cycle_metric: Vec<MetricId>,
+    /// Each process's `cpu:<name>` recorder channel.
+    cpu_channel: Vec<String>,
+    /// The indices of each [`SchedClass::ALL`] entry's processes, in
+    /// registration order: a water-filling pass scans only its class.
+    class_members: [Vec<usize>; 3],
+    /// Per-tick scratch, owned so that a steady-state tick allocates
+    /// nothing: queue lengths as the model sees them, the model's
+    /// `on_tick` pushes, one pass's runnable processes, and the jobs
+    /// completed this tick.
+    queue_lens: Vec<usize>,
+    pushes: Vec<(ProcessId, Job)>,
+    runnable: Vec<usize>,
+    completed: Vec<(Job, usize)>,
     /// Whether the most recent step injected, executed, or completed
     /// anything — used to distinguish a drained system from one that is
     /// busy every tick.
@@ -181,20 +203,35 @@ impl<M: Model> Simulator<M> {
         config.validate();
         let mut builder = ProcessBuilder::default();
         let model = build(&mut builder);
-        let cycle_metric = builder
-            .processes
+        let processes = builder.processes;
+        let cycle_metric = processes
             .iter()
             .map(|p| MetricId::for_process(&p.name))
             .collect();
+        let cpu_channel = processes
+            .iter()
+            .map(|p| format!("cpu:{}", p.name))
+            .collect();
+        let class_members = SchedClass::ALL.map(|class| {
+            (0..processes.len())
+                .filter(|&i| processes[i].class == class)
+                .collect()
+        });
         Simulator {
             config,
             now: SimTime::ZERO,
-            processes: builder.processes,
             model,
             recorder: Recorder::new(),
             deferred: Vec::new(),
             last_sample: SimTime::ZERO,
             cycle_metric,
+            cpu_channel,
+            class_members,
+            queue_lens: Vec::with_capacity(processes.len()),
+            pushes: Vec::new(),
+            runnable: Vec::with_capacity(processes.len()),
+            completed: Vec::new(),
+            processes,
             step_was_active: false,
         }
     }
@@ -269,17 +306,16 @@ impl<M: Model> Simulator<M> {
         }
 
         // 2. Model injects external work; its pushes are runnable now.
-        let queue_lens: Vec<usize> = self.processes.iter().map(|p| p.queue.len()).collect();
+        self.snapshot_queue_lens();
         let mut ctx = TickContext {
             now: self.now,
-            queue_lens: &queue_lens,
-            pushes: Vec::new(),
+            queue_lens: &self.queue_lens,
+            pushes: &mut self.pushes,
             recorder: &mut self.recorder,
         };
         self.model.on_tick(&mut ctx);
-        let pushes = ctx.pushes;
-        active |= !pushes.is_empty();
-        for (pid, job) in pushes {
+        active |= !self.pushes.is_empty();
+        for (pid, job) in self.pushes.drain(..) {
             self.processes[pid.0].push(job);
         }
 
@@ -290,33 +326,28 @@ impl<M: Model> Simulator<M> {
 
         // 4. Water-filling scheduler: strict class priority, fair share
         //    within a class, one core's budget per process.
-        let mut completed: Vec<(Job, usize)> = Vec::new();
         let mut pool = queue_budget * ncores as f64;
         for process in &mut self.processes {
             process.tick_used = 0.0;
         }
-        for class in SchedClass::ALL {
+        for members in &self.class_members {
             let mut guard = 0;
             loop {
                 guard += 1;
-                let runnable: Vec<usize> = self
-                    .processes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| {
-                        p.class == class && p.runnable() && p.tick_used < queue_budget - 1e-9
-                    })
-                    .map(|(i, _)| i)
-                    .collect();
-                if runnable.is_empty() || pool <= 1e-9 || guard > 64 {
+                self.runnable.clear();
+                self.runnable.extend(members.iter().copied().filter(|&i| {
+                    let p = &self.processes[i];
+                    p.runnable() && p.tick_used < queue_budget - 1e-9
+                }));
+                if self.runnable.is_empty() || pool <= 1e-9 || guard > 64 {
                     break;
                 }
-                let share = pool / runnable.len() as f64;
+                let share = pool / self.runnable.len() as f64;
                 let mut progressed = false;
-                for idx in runnable {
+                for &idx in &self.runnable {
                     let process = &mut self.processes[idx];
                     let budget = share.min(queue_budget - process.tick_used);
-                    let used = process.consume(budget, &mut completed, idx);
+                    let used = process.consume(budget, &mut self.completed, idx);
                     pool -= used;
                     if used > 1e-9 {
                         progressed = true;
@@ -328,23 +359,23 @@ impl<M: Model> Simulator<M> {
             }
         }
 
-        // 5. Completion callbacks; their pushes land next tick.
-        let n_completed = completed.len();
-        active |= !completed.is_empty();
+        // 5. Completion callbacks; their pushes land next tick (step 1
+        //    left `deferred` empty, so they collect there directly).
+        let n_completed = self.completed.len();
+        active |= !self.completed.is_empty();
         active |= self.processes.iter().any(|p| p.tick_used > 1e-9);
         self.step_was_active = active;
-        if !completed.is_empty() {
-            let queue_lens: Vec<usize> = self.processes.iter().map(|p| p.queue.len()).collect();
+        if !self.completed.is_empty() {
+            self.snapshot_queue_lens();
             let mut ctx = TickContext {
                 now: self.now,
-                queue_lens: &queue_lens,
-                pushes: Vec::new(),
+                queue_lens: &self.queue_lens,
+                pushes: &mut self.deferred,
                 recorder: &mut self.recorder,
             };
-            for (job, pid) in completed {
+            for (job, pid) in self.completed.drain(..) {
                 self.model.on_job_complete(ProcessId(pid), job, &mut ctx);
             }
-            self.deferred.extend(ctx.pushes);
         }
 
         // 6. Advance the clock and sample CPU load.
@@ -353,11 +384,10 @@ impl<M: Model> Simulator<M> {
             let window = self.now.duration_since(self.last_sample).as_secs_f64();
             let cycles_per_core = self.config.cores[0].hz * window;
             let t = self.now.as_secs_f64();
-            for i in 0..self.processes.len() {
-                let pct = self.processes[i].sample_busy / cycles_per_core * 100.0;
-                let channel = format!("cpu:{}", self.processes[i].name);
-                self.recorder.add_point(&channel, t, pct);
-                self.processes[i].sample_busy = 0.0;
+            for (process, channel) in self.processes.iter_mut().zip(&self.cpu_channel) {
+                let pct = process.sample_busy / cycles_per_core * 100.0;
+                self.recorder.add_point(channel, t, pct);
+                process.sample_busy = 0.0;
             }
             self.last_sample = self.now;
         }
@@ -375,6 +405,13 @@ impl<M: Model> Simulator<M> {
                 }
             }
         }
+    }
+
+    /// Refills `queue_lens` with every process's current queue length.
+    fn snapshot_queue_lens(&mut self) {
+        self.queue_lens.clear();
+        self.queue_lens
+            .extend(self.processes.iter().map(|p| p.queue.len()));
     }
 
     /// Runs until the system drains or `limit` elapses.
@@ -428,7 +465,142 @@ impl<M: Model> Simulator<M> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::recorder::Series;
+
+    impl<M: Model> Simulator<M> {
+        /// The scheduler's step before it owned its scratch buffers,
+        /// kept verbatim but for the borrowed `pushes` (marked): the
+        /// reference `step` must match bit for bit.
+        fn step_reference(&mut self) {
+            let queue_budget = self.config.core_budget();
+            let ncores = self.config.cores.len();
+            let tick_ns = self.config.tick.as_nanos();
+            let telemetry_on = telemetry::enabled();
+            if telemetry_on {
+                // Publish the virtual clock before the model runs so spans
+                // opened inside its callbacks stamp this tick's time.
+                telemetry::set_virtual_now_ns(self.now.as_nanos());
+            }
+
+            let mut active = !self.deferred.is_empty();
+
+            // 1. Deferred jobs from last tick's completions become visible.
+            for (pid, job) in self.deferred.drain(..) {
+                self.processes[pid.0].push(job);
+            }
+
+            // 2. Model injects external work; its pushes are runnable now.
+            let queue_lens: Vec<usize> = self.processes.iter().map(|p| p.queue.len()).collect();
+            let mut ctx = TickContext {
+                now: self.now,
+                queue_lens: &queue_lens,
+                pushes: &mut Vec::new(), // borrowed
+                recorder: &mut self.recorder,
+            };
+            self.model.on_tick(&mut ctx);
+            let pushes = std::mem::take(ctx.pushes); // borrowed
+            active |= !pushes.is_empty();
+            for (pid, job) in pushes {
+                self.processes[pid.0].push(job);
+            }
+
+            // 3. Wall-clock delays elapse.
+            for process in &mut self.processes {
+                process.advance_delay(tick_ns);
+            }
+
+            // 4. Water-filling scheduler: strict class priority, fair share
+            //    within a class, one core's budget per process.
+            let mut completed: Vec<(Job, usize)> = Vec::new();
+            let mut pool = queue_budget * ncores as f64;
+            for process in &mut self.processes {
+                process.tick_used = 0.0;
+            }
+            for class in SchedClass::ALL {
+                let mut guard = 0;
+                loop {
+                    guard += 1;
+                    let runnable: Vec<usize> = self
+                        .processes
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, p)| {
+                            p.class == class && p.runnable() && p.tick_used < queue_budget - 1e-9
+                        })
+                        .map(|(i, _)| i)
+                        .collect();
+                    if runnable.is_empty() || pool <= 1e-9 || guard > 64 {
+                        break;
+                    }
+                    let share = pool / runnable.len() as f64;
+                    let mut progressed = false;
+                    for idx in runnable {
+                        let process = &mut self.processes[idx];
+                        let budget = share.min(queue_budget - process.tick_used);
+                        let used = process.consume(budget, &mut completed, idx);
+                        pool -= used;
+                        if used > 1e-9 {
+                            progressed = true;
+                        }
+                    }
+                    if !progressed {
+                        break;
+                    }
+                }
+            }
+
+            // 5. Completion callbacks; their pushes land next tick.
+            let n_completed = completed.len();
+            active |= !completed.is_empty();
+            active |= self.processes.iter().any(|p| p.tick_used > 1e-9);
+            self.step_was_active = active;
+            if !completed.is_empty() {
+                let queue_lens: Vec<usize> = self.processes.iter().map(|p| p.queue.len()).collect();
+                let mut ctx = TickContext {
+                    now: self.now,
+                    queue_lens: &queue_lens,
+                    pushes: &mut Vec::new(), // borrowed
+                    recorder: &mut self.recorder,
+                };
+                for (job, pid) in completed {
+                    self.model.on_job_complete(ProcessId(pid), job, &mut ctx);
+                }
+                self.deferred.append(ctx.pushes); // borrowed
+            }
+
+            // 6. Advance the clock and sample CPU load.
+            self.now += self.config.tick;
+            if self.now.duration_since(self.last_sample) >= self.config.sample_every {
+                let window = self.now.duration_since(self.last_sample).as_secs_f64();
+                let cycles_per_core = self.config.cores[0].hz * window;
+                let t = self.now.as_secs_f64();
+                for i in 0..self.processes.len() {
+                    let pct = self.processes[i].sample_busy / cycles_per_core * 100.0;
+                    let channel = format!("cpu:{}", self.processes[i].name);
+                    self.recorder.add_point(&channel, t, pct);
+                    self.processes[i].sample_busy = 0.0;
+                }
+                self.last_sample = self.now;
+            }
+
+            // 7. Telemetry: advance the published virtual clock and
+            //    attribute this tick's cycles to each process's component
+            //    counter (the raw material of the Fig. 3–4 breakdown).
+            if telemetry_on {
+                telemetry::set_virtual_now_ns(self.now.as_nanos());
+                telemetry::incr(MetricId::SimTicks);
+                telemetry::add(MetricId::SimJobsCompleted, n_completed as u64);
+                for (i, process) in self.processes.iter().enumerate() {
+                    if process.tick_used > 0.0 {
+                        telemetry::add(self.cycle_metric[i], process.tick_used as u64);
+                    }
+                }
+            }
+        }
+    }
 
     /// A model that feeds `total` equal jobs to each of its processes
     /// at start, then counts completions.
@@ -622,5 +794,137 @@ mod tests {
     #[should_panic(expected = "at least one core")]
     fn empty_cores_rejected() {
         let _ = SimConfig::new(vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "registered twice")]
+    fn duplicate_process_names_rejected() {
+        let mut builder = ProcessBuilder::default();
+        builder.add_process("bgp", SchedClass::User);
+        builder.add_process("bgp", SchedClass::Kernel);
+    }
+
+    /// One scripted injection: `(tick, process, cycles, delay choice,
+    /// follow-up chain length)`.
+    type Injection = (u64, usize, f64, usize, u16);
+
+    /// A model exercising every scheduler path: scripted injections
+    /// with and without delays, follow-up pushes from completions,
+    /// flow control on queue lengths from both callbacks, and custom
+    /// recorder channels. It logs every completion.
+    struct Mix {
+        targets: Vec<ProcessId>,
+        script: Vec<Injection>,
+        /// `(ns, pid, kind, count, tag, cycle bits, delay)` per completion.
+        log: Vec<(u64, usize, u16, u32, u64, u64, u64)>,
+    }
+
+    impl Model for Mix {
+        fn on_tick(&mut self, ctx: &mut TickContext<'_>) {
+            let tick = ctx.now().as_nanos() / 1_000_000;
+            for &(at, proc_index, cycles, delay, chain) in &self.script {
+                let target = self.targets[proc_index];
+                if at == tick && ctx.queue_len(target) < 10 {
+                    let delay_ns = [0, 0, 400_000, 2_300_000][delay];
+                    let job = Job::new(chain, cycles)
+                        .with_tag(proc_index as u64)
+                        .with_delay_ns(delay_ns);
+                    ctx.push(target, job);
+                }
+            }
+            let backlog: usize = self.targets.iter().map(|&t| ctx.queue_len(t)).sum();
+            ctx.record("backlog", backlog as f64);
+        }
+
+        fn on_job_complete(&mut self, pid: ProcessId, job: Job, ctx: &mut TickContext<'_>) {
+            self.log.push((
+                ctx.now().as_nanos(),
+                pid.0,
+                job.kind,
+                job.count,
+                job.tag,
+                job.cycles.to_bits(),
+                job.delay_ns,
+            ));
+            ctx.record("done", job.cycles);
+            if job.kind > 0 {
+                let next = self.targets[(pid.0 + job.tag as usize + 1) % self.targets.len()];
+                if ctx.queue_len(next) < 6 {
+                    let follow = Job::new(job.kind - 1, job.cycles * 0.5 + 1_000.0)
+                        .with_count(job.count + 1)
+                        .with_tag(job.tag + 1)
+                        .with_delay_ns(job.delay_ns / 2);
+                    ctx.push(next, follow);
+                }
+            }
+        }
+    }
+
+    fn mix_sim(cores: usize, classes: &[SchedClass], script: &[Injection]) -> Simulator<Mix> {
+        let config = SimConfig::new(vec![CoreSpec::ghz(1.0); cores])
+            .with_sample_every(SimDuration::from_millis(7));
+        Simulator::new(config, |builder| Mix {
+            targets: classes
+                .iter()
+                .enumerate()
+                .map(|(i, &class)| builder.add_process(&format!("p{i}"), class))
+                .collect(),
+            script: script
+                .iter()
+                .map(|&(at, p, cycles, delay, chain)| (at, p % classes.len(), cycles, delay, chain))
+                .collect(),
+            log: Vec::new(),
+        })
+    }
+
+    fn series_bits(sim: &Simulator<Mix>) -> Vec<(String, Vec<(u64, u64)>)> {
+        let recorder = sim.recorder();
+        recorder
+            .channels()
+            .map(|channel| {
+                let points = recorder.series(channel).map_or(&[][..], Series::points);
+                let bits = points.iter().map(|&(t, v)| (t.to_bits(), v.to_bits()));
+                (channel.to_owned(), bits.collect())
+            })
+            .collect()
+    }
+
+    fn arb_class() -> impl Strategy<Value = SchedClass> {
+        prop_oneof![
+            Just(SchedClass::Interrupt),
+            Just(SchedClass::Kernel),
+            Just(SchedClass::User),
+        ]
+    }
+
+    proptest! {
+        /// The owned-buffer, class-list scheduler is bit-identical to
+        /// the reference: the same completions in the same order, the
+        /// same per-process cycle totals, the same recorder series.
+        #[test]
+        fn scheduler_equivalence(
+            cores in 1usize..5,
+            classes in prop::collection::vec(arb_class(), 1..8),
+            script in prop::collection::vec(
+                (0u64..40, 0usize..8, 0.0f64..3_000_000.0, 0usize..4, 0u16..4),
+                1..60,
+            ),
+        ) {
+            let mut fast = mix_sim(cores, &classes, &script);
+            let mut reference = mix_sim(cores, &classes, &script);
+            for _ in 0..300 {
+                fast.step();
+                reference.step_reference();
+                prop_assert_eq!(fast.step_was_active, reference.step_was_active);
+            }
+            prop_assert_eq!(&fast.model().log, &reference.model().log);
+            for i in 0..classes.len() {
+                let (a, b) = (fast.process_stats(ProcessId(i)), reference.process_stats(ProcessId(i)));
+                prop_assert_eq!(a.busy_cycles.to_bits(), b.busy_cycles.to_bits());
+                prop_assert_eq!(a.jobs_completed, b.jobs_completed);
+            }
+            prop_assert_eq!(series_bits(&fast), series_bits(&reference));
+            prop_assert_eq!(fast.is_idle(), reference.is_idle());
+        }
     }
 }

@@ -1,0 +1,125 @@
+//! A steady-state tick allocates nothing: the simulator owns its
+//! per-tick buffers, so once they and the run queues have grown to the
+//! workload's size, ticking touches the heap no more.
+//!
+//! A counting `#[global_allocator]` (per thread, counted only while a
+//! flag is set) measures it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use bgpbench_simnet::{
+    CoreSpec, Job, Model, ProcessId, SchedClass, SimConfig, SimDuration, Simulator, TickContext,
+};
+
+struct CountingAlloc;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+// A switch, publishing no data: `Relaxed`.
+static COUNTING: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    // Const-initialised and without a destructor: touching it never
+    // allocates, which an allocator needs.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    if COUNTING.load(Ordering::Relaxed) {
+        ALLOCS.with(|allocs| allocs.set(allocs.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counting touches only
+// a thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's `layout` obligations pass through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from `System` with `layout`; the caller
+        // guarantees `new_size` is valid for its alignment.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// Every tick, one job to each process from `on_tick`; every finished
+/// first-stage job pushes a second stage to the next process from
+/// `on_job_complete`. The load is well under two cores, so the queues
+/// stay bounded.
+struct Pipeline {
+    procs: Vec<ProcessId>,
+}
+
+impl Model for Pipeline {
+    fn on_tick(&mut self, ctx: &mut TickContext<'_>) {
+        for &pid in &self.procs {
+            ctx.push(pid, Job::new(1, 150_000.0));
+        }
+    }
+
+    fn on_job_complete(&mut self, pid: ProcessId, job: Job, ctx: &mut TickContext<'_>) {
+        if job.kind == 1 {
+            let at = self.procs.iter().position(|&p| p == pid).unwrap_or(0);
+            let next = self.procs[(at + 1) % self.procs.len()];
+            ctx.push(next, Job::new(2, 100_000.0).with_delay_ns(500_000));
+        }
+    }
+}
+
+#[test]
+fn steady_state_ticks_allocate_nothing() {
+    const WARM_UP: usize = 1_000;
+    const MEASURED: usize = 10_000;
+    // One sample period longer than the whole run: a recorder point
+    // grows its series, which is the recorder's job, not the tick's.
+    let config =
+        SimConfig::new(vec![CoreSpec::ghz(1.0); 2]).with_sample_every(SimDuration::from_secs(60));
+    let mut sim = Simulator::new(config, |builder| Pipeline {
+        procs: vec![
+            builder.add_process("irq", SchedClass::Interrupt),
+            builder.add_process("kernel", SchedClass::Kernel),
+            builder.add_process("bgp", SchedClass::User),
+            builder.add_process("rib", SchedClass::User),
+        ],
+    });
+    for _ in 0..WARM_UP {
+        sim.step();
+    }
+    let done_before = sim.process_stats(sim.model().procs[3]).jobs_completed;
+
+    let before = ALLOCS.with(Cell::get);
+    COUNTING.store(true, Ordering::Relaxed);
+    for _ in 0..MEASURED {
+        sim.step();
+    }
+    COUNTING.store(false, Ordering::Relaxed);
+    let allocs = ALLOCS.with(Cell::get) - before;
+
+    let completed = sim.process_stats(sim.model().procs[3]).jobs_completed - done_before;
+    assert!(
+        completed >= 2 * MEASURED as u64,
+        "the workload ran: {completed}"
+    );
+    assert_eq!(allocs, 0, "{MEASURED} ticks made {allocs} allocations");
+}
