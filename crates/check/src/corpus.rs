@@ -46,8 +46,8 @@ fn update_rich_attributes() -> UpdateMessage {
     UpdateMessage::builder()
         .attribute(PathAttribute::Origin(Origin::Incomplete))
         .attribute(PathAttribute::AsPath(AsPath::from_segments([
-            AsPathSegment::Sequence(vec![Asn(65001), Asn(65002)]),
-            AsPathSegment::Set(vec![Asn(64496), Asn(64497)]),
+            AsPathSegment::Sequence(vec![Asn(65001), Asn(65002)].into()),
+            AsPathSegment::Set(vec![Asn(64496), Asn(64497)].into()),
         ])))
         .attribute(PathAttribute::NextHop(Ipv4Addr::new(172, 16, 0, 254)))
         .attribute(PathAttribute::Med(50))

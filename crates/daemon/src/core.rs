@@ -50,6 +50,12 @@ const FLUSH_BYTES: usize = 20 * 1024;
 /// UPDATEs' worth of time, which a peer measuring propagation sees.
 const EAGER_FLUSH_TRANSACTIONS: usize = 32;
 
+/// The most exported sets [`Core::propagate`]'s cache keeps room for
+/// between rounds. A round exports one set per distinct best it moved:
+/// one for a small UPDATE, one for a large UPDATE over one attribute
+/// set, and many only when a teardown's fallout is a table.
+const EXPORT_CACHE_KEPT: usize = 64;
+
 /// Counters the daemon exposes in snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct CoreStats {
@@ -271,6 +277,14 @@ pub(crate) struct Core {
     /// What the last engine call changed, for [`Core::propagate`]; empty
     /// between calls, and reused so its capacity is too.
     changes: Vec<Change>,
+    /// [`Core::propagate`]'s exported-set cache, keyed by the address of
+    /// the interned set it exports (as a `usize`: a raw pointer would
+    /// make the core `!Send`). Empty between rounds, so no key outlives
+    /// the set at its address; kept so its allocation is.
+    exported: FxHashMap<usize, Arc<RouteAttributes>>,
+    /// [`Core::propagate`]'s export actions toward one peer; empty
+    /// between rounds, kept for the same reason.
+    actions: Vec<ExportAction>,
     next_peer: u32,
     stats: CoreStats,
     /// Prefix-level transactions processed, published once per UPDATE
@@ -327,6 +341,8 @@ impl Core {
             fib: Fib::new(),
             peers: BTreeMap::new(),
             changes: Vec::new(),
+            exported: FxHashMap::default(),
+            actions: Vec::new(),
             next_peer: 1,
             stats: CoreStats::default(),
             transactions: Arc::new(AtomicU64::new(0)),
@@ -464,34 +480,39 @@ impl Core {
         // key alive until it is swapped, and the engine frees none
         // here, so no key's address is reused meanwhile. Shared exported
         // sets also keep packetization's grouping on its pointer path.
-        let mut exported: FxHashMap<*const RouteAttributes, Arc<RouteAttributes>> =
-            FxHashMap::default();
         for change in &mut self.changes {
             if let Some((_, attrs)) = &mut change.after {
-                *attrs = Arc::clone(exported.entry(Arc::as_ptr(attrs)).or_insert_with(|| {
+                let key = Arc::as_ptr(attrs) as usize;
+                *attrs = Arc::clone(self.exported.entry(key).or_insert_with(|| {
                     Arc::new(attrs.exported(self.config.local_asn, self.config.next_hop))
                 }));
             }
         }
-        let mut actions: Vec<ExportAction> = Vec::new();
         for (&id, peer) in &mut self.peers {
-            actions.clear();
+            self.actions.clear();
             for change in &self.changes {
                 let had = change.before.filter(|(source, _)| *source != id);
                 let should = change.after.as_ref().filter(|(source, _)| *source != id);
                 match (had, should) {
                     (Some((_, true)), Some(_)) | (None, None) => {}
                     (_, Some((_, attrs))) => {
-                        actions.push(ExportAction::Announce(change.prefix, Arc::clone(attrs)));
+                        self.actions
+                            .push(ExportAction::Announce(change.prefix, Arc::clone(attrs)));
                     }
-                    (Some(_), None) => actions.push(ExportAction::Withdraw(change.prefix)),
+                    (Some(_), None) => self.actions.push(ExportAction::Withdraw(change.prefix)),
                 }
             }
-            if !actions.is_empty() {
-                peer.stage(&actions, self.config.export_prefixes_per_update);
+            if !self.actions.is_empty() {
+                peer.stage(&self.actions, self.config.export_prefixes_per_update);
             }
         }
         self.changes.clear();
+        self.actions.clear();
+        self.exported.clear();
+        // Clearing a map costs its capacity, not its length: a round
+        // that exported a whole table (a teardown) must not leave every
+        // later one-prefix round sweeping that much.
+        self.exported.shrink_to(EXPORT_CACHE_KEPT);
     }
 
     /// Stages the full table toward `peer`: every Loc-RIB best it is not
@@ -878,7 +899,7 @@ mod tests {
             let path: Vec<Asn> = (1..=asns).map(Asn).collect();
             let segments = path
                 .chunks(255)
-                .map(|c| AsPathSegment::Sequence(c.to_vec()));
+                .map(|c| AsPathSegment::Sequence(c.to_vec().into()));
             UpdateMessage::builder()
                 .attribute(PathAttribute::Origin(Origin::Igp))
                 .attribute(PathAttribute::AsPath(AsPath::from_segments(segments)))

@@ -1,12 +1,14 @@
 //! Hash-consing of path-attribute sets.
 //!
-//! Real UPDATE streams share one attribute set across hundreds of
-//! prefixes (the benchmark's 500-prefix "large packet" scenarios make
-//! the ratio explicit), and even across messages: a full-table dump
-//! from one peer reuses a few thousand distinct attribute sets over
-//! hundreds of thousands of prefixes. The [`AttrStore`] exploits that:
-//! every attribute set admitted to the RIB is canonicalized through
-//! [`AttrStore::intern`], so
+//! An UPDATE shares one attribute set across all its prefixes (the
+//! benchmark's 500-prefix "large packet" scenarios make the ratio
+//! explicit). Across messages, the workloads this repo runs share
+//! almost nothing: both table generators draw a fresh AS path for every
+//! UPDATE, and traced at seed 4242 the store's hit ratio is 0.000 on
+//! `startup_small`, 0.002 on `fulltable_large` and 0.003 on
+//! `churn_flood`. The [`AttrStore`] is what lets sets that do recur be
+//! kept once: every attribute set admitted to the RIB is canonicalized
+//! through [`AttrStore::intern`], so
 //!
 //! * each distinct set is allocated exactly once per engine,
 //! * equality between admitted sets degenerates to [`Arc::ptr_eq`], and

@@ -771,7 +771,10 @@ mod tests {
         }
         let different = [
             (vec![seq(&[1])], vec![seq(&[]), seq(&[1])]),
-            (vec![seq(&[1])], vec![AsPathSegment::Set(vec![Asn(1)])]),
+            (
+                vec![seq(&[1])],
+                vec![AsPathSegment::Set(vec![Asn(1)].into())],
+            ),
         ];
         for (a, b) in different {
             assert!(!with(a, 1, 1, 0xC0).exports_equal(&with(b, 1, 1, 0xC0)));

@@ -317,8 +317,8 @@ struct Dropped {
 
 fn arb_kept() -> impl Strategy<Value = Kept> {
     let seq = |asns: &[u16]| AsPathSegment::Sequence(asns.iter().copied().map(Asn).collect());
-    let full = AsPathSegment::Sequence(vec![Asn(1); 255]);
-    let set = AsPathSegment::Set(vec![Asn(1)]);
+    let full = AsPathSegment::Sequence(vec![Asn(1); 255].into());
+    let set = AsPathSegment::Set(vec![Asn(1)].into());
     let path = prop_oneof![
         Just(vec![]),
         Just(vec![seq(&[])]),
@@ -409,7 +409,9 @@ fn arb_export_pair() -> impl Strategy<Value = (RouteAttributes, RouteAttributes)
                     Some(AsPathSegment::Sequence(asns)) if asns.is_empty() => {
                         mixed.path.remove(0);
                     }
-                    _ => mixed.path.insert(0, AsPathSegment::Sequence(Vec::new())),
+                    _ => mixed
+                        .path
+                        .insert(0, AsPathSegment::Sequence(Vec::new().into())),
                 },
                 _ => {}
             }

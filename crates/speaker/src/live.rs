@@ -4,7 +4,9 @@ use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use bgpbench_wire::{Asn, Message, OpenMessage, RouterId, StreamDecoder, UpdateMessage, WireError};
+use bgpbench_wire::{
+    Asn, Message, OpenMessage, PathAttribute, RouterId, StreamDecoder, UpdateMessage, WireError,
+};
 
 /// Session parameters for a [`LiveSpeaker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,7 +134,15 @@ impl LiveSpeaker {
     ///
     /// Propagates socket errors and encoding failures.
     pub fn send_update(&mut self, update: &UpdateMessage) -> io::Result<()> {
-        self.send(&Message::Update(update.clone()))
+        let mut bytes = Vec::with_capacity(64);
+        UpdateMessage::encode_parts_into(
+            update.withdrawn(),
+            update.attributes().iter().map(PathAttribute::borrowed),
+            update.nlri(),
+            &mut bytes,
+        )
+        .map_err(wire_to_io)?;
+        self.stream.write_all(&bytes)
     }
 
     /// Sends every UPDATE in `updates`, answering any keepalives that
@@ -318,7 +328,7 @@ fn wire_to_io(err: WireError) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpbench_wire::{Origin, PathAttribute};
+    use bgpbench_wire::Origin;
     use std::io::Read;
     use std::net::{Ipv4Addr, TcpListener};
     use std::thread;

@@ -164,12 +164,8 @@ pub fn sample_path_length(rng: &mut StdRng) -> u8 {
 
 fn sample_path(rng: &mut StdRng, first: Asn) -> AsPath {
     let len = sample_path_length(rng);
-    let mut asns = Vec::with_capacity(usize::from(len));
-    asns.push(first);
-    for _ in 1..len {
-        asns.push(Asn(rng.gen_range(1000..60_000)));
-    }
-    AsPath::from_sequence(asns)
+    let rest = (1..len).map(|_| Asn(rng.gen_range(1000..60_000)));
+    AsPath::from_sequence(std::iter::once(first).chain(rest))
 }
 
 /// Packetizes a cold-start announcement of `table` with AS-path

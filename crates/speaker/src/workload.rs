@@ -190,12 +190,8 @@ pub fn med_oscillation(
 }
 
 fn generate_path(rng: &mut StdRng, first: Asn, len: usize) -> AsPath {
-    let mut asns = Vec::with_capacity(len);
-    asns.push(first);
-    for _ in 1..len {
-        asns.push(Asn(rng.gen_range(1000..60_000)));
-    }
-    AsPath::from_sequence(asns)
+    let rest = (1..len).map(|_| Asn(rng.gen_range(1000..60_000)));
+    AsPath::from_sequence(std::iter::once(first).chain(rest))
 }
 
 /// Total prefix-level transactions in a stream (the denominator the

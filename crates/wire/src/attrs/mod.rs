@@ -19,7 +19,7 @@ mod attr_08_communities;
 mod attr_32_large_communities;
 
 pub use attr_01_origin::Origin;
-pub use attr_02_as_path::{AsPath, AsPathSegment};
+pub use attr_02_as_path::{AsPath, AsPathSegment, AsnList};
 pub use attr_32_large_communities::LargeCommunity;
 
 use std::net::Ipv4Addr;
@@ -452,8 +452,8 @@ mod tests {
             Asn(65535),
         ])));
         roundtrip(PathAttribute::AsPath(AsPath::from_segments([
-            AsPathSegment::Sequence(vec![Asn(3), Asn(4)]),
-            AsPathSegment::Set(vec![Asn(9), Asn(10)]),
+            AsPathSegment::Sequence(vec![Asn(3), Asn(4)].into()),
+            AsPathSegment::Set(vec![Asn(9), Asn(10)].into()),
         ])));
         roundtrip(PathAttribute::NextHop(Ipv4Addr::new(192, 0, 2, 254)));
         roundtrip(PathAttribute::Med(0));

@@ -51,7 +51,9 @@ mod open;
 mod types;
 mod update;
 
-pub use attrs::{AsPath, AsPathSegment, LargeCommunity, Origin, PathAttribute, PathAttributeRef};
+pub use attrs::{
+    AsPath, AsPathSegment, AsnList, LargeCommunity, Origin, PathAttribute, PathAttributeRef,
+};
 pub use error::WireError;
 pub use framing::StreamDecoder;
 pub use message::{Message, MessageType, HEADER_LEN, MAX_MESSAGE_LEN};

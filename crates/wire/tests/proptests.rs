@@ -1,9 +1,11 @@
 //! Property-based tests for the BGP wire format.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
 use bgpbench_wire::{
-    AsPath, AsPathSegment, Asn, Capability, ErrorCode, LargeCommunity, Message,
+    AsPath, AsPathSegment, Asn, AsnList, Capability, ErrorCode, LargeCommunity, Message,
     NotificationMessage, OpenMessage, Origin, PathAttribute, Prefix, RouterId, StreamDecoder,
     UpdateMessage,
 };
@@ -20,8 +22,9 @@ fn arb_asn() -> impl Strategy<Value = Asn> {
 
 fn arb_segment() -> impl Strategy<Value = AsPathSegment> {
     prop_oneof![
-        prop::collection::vec(arb_asn(), 1..8).prop_map(AsPathSegment::Sequence),
-        prop::collection::vec(arb_asn(), 1..8).prop_map(AsPathSegment::Set),
+        prop::collection::vec(arb_asn(), 1..8)
+            .prop_map(|asns| AsPathSegment::Sequence(asns.into())),
+        prop::collection::vec(arb_asn(), 1..8).prop_map(|asns| AsPathSegment::Set(asns.into())),
     ]
 }
 
@@ -137,6 +140,184 @@ fn arb_message() -> impl Strategy<Value = Message> {
             }),
         Just(Message::Keepalive),
     ]
+}
+
+/// The AS path as it was before segments held their ASes inline: a
+/// `Vec` of segments, each a `Vec` of ASes, with everything derived.
+/// The names match the library's, so derived `Debug` prints what the
+/// library's `Debug` must print, and derived `Hash` feeds a hasher
+/// exactly what the library's `Hash` must feed it.
+mod reference {
+    use bgpbench_wire::Asn;
+
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    pub enum AsPathSegment {
+        Sequence(Vec<Asn>),
+        Set(Vec<Asn>),
+    }
+
+    impl AsPathSegment {
+        pub fn asns(&self) -> &[Asn] {
+            match self {
+                AsPathSegment::Sequence(asns) | AsPathSegment::Set(asns) => asns,
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    pub struct AsPath {
+        pub segments: Vec<AsPathSegment>,
+    }
+
+    impl AsPath {
+        pub fn length(&self) -> usize {
+            self.segments
+                .iter()
+                .map(|segment| match segment {
+                    AsPathSegment::Sequence(asns) => asns.len(),
+                    AsPathSegment::Set(_) => 1,
+                })
+                .sum()
+        }
+
+        pub fn contains(&self, asn: Asn) -> bool {
+            self.segments.iter().any(|s| s.asns().contains(&asn))
+        }
+
+        pub fn first_as(&self) -> Option<Asn> {
+            match self.segments.first() {
+                Some(AsPathSegment::Sequence(asns)) => asns.first().copied(),
+                _ => None,
+            }
+        }
+
+        pub fn origin_as(&self) -> Option<Asn> {
+            match self.segments.last() {
+                Some(AsPathSegment::Sequence(asns)) => asns.last().copied(),
+                _ => None,
+            }
+        }
+
+        /// RFC 4271 §5.1.2: extend a leading sequence with room, or open
+        /// a new one.
+        pub fn prepend(&self, asn: Asn) -> AsPath {
+            let mut segments = self.segments.clone();
+            match segments.first_mut() {
+                Some(AsPathSegment::Sequence(asns)) if asns.len() < 255 => asns.insert(0, asn),
+                _ => segments.insert(0, AsPathSegment::Sequence(vec![asn])),
+            }
+            AsPath { segments }
+        }
+
+        /// The attribute value octets (RFC 4271 §4.3).
+        pub fn encode(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            for segment in &self.segments {
+                let kind = match segment {
+                    AsPathSegment::Set(_) => 1,
+                    AsPathSegment::Sequence(_) => 2,
+                };
+                out.push(kind);
+                out.push(segment.asns().len() as u8);
+                for asn in segment.asns() {
+                    out.extend_from_slice(&asn.0.to_be_bytes());
+                }
+            }
+            out
+        }
+    }
+}
+
+/// An AS drawn either from the whole space or from a handful of
+/// values, so `contains` probes hit as well as miss.
+fn arb_ref_asn() -> impl Strategy<Value = Asn> {
+    prop_oneof![arb_asn(), (0u16..4).prop_map(Asn)]
+}
+
+/// Segments of 0 to 40 ASes, either side of the 14 held inline, and
+/// now and then one of 255, the most a segment can hold.
+fn arb_ref_segment() -> impl Strategy<Value = reference::AsPathSegment> {
+    let asns = prop_oneof![
+        prop::collection::vec(arb_ref_asn(), 0..41),
+        prop::collection::vec(arb_ref_asn(), 0..41),
+        prop::collection::vec(arb_ref_asn(), 0..41),
+        prop::collection::vec(arb_ref_asn(), 255..256),
+    ];
+    (any::<bool>(), asns).prop_map(|(set, asns)| {
+        if set {
+            reference::AsPathSegment::Set(asns)
+        } else {
+            reference::AsPathSegment::Sequence(asns)
+        }
+    })
+}
+
+fn arb_ref_path() -> impl Strategy<Value = reference::AsPath> {
+    prop::collection::vec(arb_ref_segment(), 0..4)
+        .prop_map(|segments| reference::AsPath { segments })
+}
+
+/// The library path equal to `path`, its lists built from `Vec`s.
+fn from_reference(path: &reference::AsPath) -> AsPath {
+    AsPath::from_segments(path.segments.iter().map(|segment| match segment {
+        reference::AsPathSegment::Sequence(asns) => AsPathSegment::Sequence(asns.clone().into()),
+        reference::AsPathSegment::Set(asns) => AsPathSegment::Set(asns.clone().into()),
+    }))
+}
+
+/// The library path equal to `path`, its lists built one AS at a time.
+fn collected_from_reference(path: &reference::AsPath) -> AsPath {
+    AsPath::from_segments(path.segments.iter().map(|segment| {
+        let asns: AsnList = segment.asns().iter().copied().collect();
+        match segment {
+            reference::AsPathSegment::Sequence(_) => AsPathSegment::Sequence(asns),
+            reference::AsPathSegment::Set(_) => AsPathSegment::Set(asns),
+        }
+    }))
+}
+
+fn hash_of(value: &impl Hash) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// The AS_PATH attribute's value octets, past its 3- or 4-octet header.
+fn encoded_value(path: &AsPath) -> Vec<u8> {
+    let attr = PathAttribute::AsPath(path.clone());
+    let mut buf = Vec::new();
+    attr.encode_to(&mut buf);
+    assert_eq!(buf.len(), attr.wire_len(), "wire_len");
+    let header = if buf[0] & 0x10 != 0 { 4 } else { 3 };
+    buf.split_off(header)
+}
+
+/// `path` agrees with `expected` on every observation the library
+/// offers.
+fn assert_matches_reference(
+    path: &AsPath,
+    expected: &reference::AsPath,
+    probe: Asn,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(path.segments().len(), expected.segments.len());
+    for (segment, want) in path.segments().iter().zip(&expected.segments) {
+        let (AsPathSegment::Sequence(asns) | AsPathSegment::Set(asns)) = segment;
+        prop_assert_eq!(&asns[..], want.asns());
+        prop_assert_eq!(
+            asns.iter().copied().collect::<Vec<_>>(),
+            want.asns().to_vec()
+        );
+        prop_assert_eq!(hash_of(asns), hash_of(&want.asns().to_vec()));
+        prop_assert_eq!(format!("{asns:?}"), format!("{:?}", want.asns()));
+    }
+    prop_assert_eq!(format!("{path:?}"), format!("{expected:?}"));
+    prop_assert_eq!(hash_of(path), hash_of(expected));
+    prop_assert_eq!(path.length(), expected.length());
+    prop_assert_eq!(path.contains(probe), expected.contains(probe));
+    prop_assert_eq!(path.first_as(), expected.first_as());
+    prop_assert_eq!(path.origin_as(), expected.origin_as());
+    prop_assert_eq!(encoded_value(path), expected.encode());
+    Ok(())
 }
 
 /// Hands `stream` out `chunk_len` octets per `read`, then reports end
@@ -287,6 +468,52 @@ proptest! {
             let idx = flip_at.index(bytes.len());
             bytes[idx] ^= flip_bits;
             let _ = Message::decode(&bytes);
+        }
+    }
+
+    #[test]
+    fn inline_as_path_matches_vec_reference(
+        expected in arb_ref_path(),
+        other in arb_ref_path(),
+        asn in arb_ref_asn(),
+        probe in arb_ref_asn(),
+    ) {
+        let path = from_reference(&expected);
+        assert_matches_reference(&path, &expected, probe)?;
+        prop_assert_eq!(&collected_from_reference(&expected), &path);
+
+        let other_path = from_reference(&other);
+        prop_assert_eq!(path == other_path, expected == other);
+
+        let prepended = path.prepend(asn);
+        assert_matches_reference(&prepended, &expected.prepend(asn), probe)?;
+        let (head, rest) = path.prepend_parts();
+        let (other_head, other_rest) = other_path.prepend_parts();
+        prop_assert_eq!(
+            (head, rest) == (other_head, other_rest),
+            expected.prepend(asn) == other.prepend(asn)
+        );
+        prop_assert_eq!(prepended.segments().get(1..), Some(rest));
+
+        // decode ∘ encode: a path with an empty segment does not decode
+        // (RFC 4271 §6.3); every other one comes back equal and
+        // re-encodes to the same octets.
+        let bytes = Message::Update(
+            UpdateMessage::builder()
+                .attribute(PathAttribute::AsPath(path.clone()))
+                .build(),
+        )
+        .encode()
+        .unwrap();
+        let empty_segment = expected.segments.iter().any(|s| s.asns().is_empty());
+        match Message::decode(&bytes) {
+            Ok((Message::Update(update), _)) => {
+                prop_assert!(!empty_segment);
+                prop_assert_eq!(update.attributes(), &[PathAttribute::AsPath(path.clone())][..]);
+                prop_assert_eq!(Message::Update(update).encode().unwrap(), bytes);
+            }
+            Ok((message, _)) => prop_assert!(false, "decoded as {message:?}"),
+            Err(_) => prop_assert!(empty_segment),
         }
     }
 }
