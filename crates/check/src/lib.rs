@@ -1,18 +1,14 @@
-//! In-tree static analysis and correctness tooling for the bgpbench
-//! workspace.
+//! In-tree correctness tooling for the bgpbench workspace.
 //!
 //! The build environment has no crates.io access, so the external
-//! analysis stack (dylint, cargo-fuzz, loom, miri) is unavailable.
-//! This crate rebuilds the subset the benchmark's claims actually
-//! rest on, in tree:
+//! analysis stack (cargo-fuzz, loom, miri) is unavailable. The
+//! workspace's static rules need none of it: rustc and clippy enforce
+//! them through `[workspace.lints]`, `clippy.toml` and lint attributes
+//! at the crate roots (no panicking calls in the hot-path crates, no
+//! host-clock reads outside `telemetry`, no std `HashMap` in `rib`, no
+//! `unsafe` code; DESIGN.md section 9.1). This crate rebuilds the
+//! dynamic subset the benchmark's claims rest on, in tree:
 //!
-//! * [`lint`] — a token/line-level scanner (backed by the minimal
-//!   [`lexer`]) enforcing repo-specific invariants: no panicking
-//!   calls in hot-path crates, no host-clock reads outside
-//!   `telemetry`/`bench`, no `std::collections::HashMap` in `rib`,
-//!   `#![forbid(unsafe_code)]` in every crate root, and every
-//!   `MetricId` registered exactly once. Intentional violations live
-//!   in `check/allow.toml` ([`allow`]) with one-line justifications.
 //! * [`fuzz`] — a deterministic mutational fuzzer over the BGP wire
 //!   format, seeded from the valid-message [`corpus`]: decode must
 //!   never panic, decode→encode→decode must be a fixpoint, and
@@ -27,18 +23,16 @@
 //!   shims record under `check-sync`, reporting unordered write/write
 //!   and read/write access pairs with both source-site labels.
 //!
-//! The `bgpbench-check` binary fronts the lint pass, the fuzzer, and
-//! (when built with `check-sync`) the race pass; the concurrency
-//! checks run as `cargo test -p bgpbench-check --features check-sync`.
+//! The `bgpbench-check` binary fronts the fuzzer, the trace-schema
+//! validator and (when built with `check-sync`) the race pass; the
+//! concurrency checks run as
+//! `cargo test -p bgpbench-check --features check-sync`.
 
 #![forbid(unsafe_code)]
 
-pub mod allow;
 pub mod corpus;
 pub mod fuzz;
 pub mod interleave;
-pub mod lexer;
-pub mod lint;
 #[cfg(feature = "check-sync")]
 pub mod race_models;
 pub mod races;

@@ -1,17 +1,15 @@
-//! `bgpbench-check`: the workspace's static-analysis and fuzzing
+//! `bgpbench-check`: the workspace's fuzzing and dynamic-analysis
 //! front end.
 //!
 //! ```text
-//! bgpbench-check lint [--root DIR] [--allow FILE] [--json]
 //! bgpbench-check fuzz-wire [--seed N] [--iters N] [--target wire|mrt]
 //! bgpbench-check fuzz-wire --repro HEX
 //! bgpbench-check trace-schema PATH
 //! bgpbench-check races [--seeded]        (needs --features check-sync)
 //! ```
 //!
-//! `lint` exits 1 when any unwaived violation exists; `fuzz-wire`
-//! exits 1 when a mutant violates a fuzz property (and prints a
-//! minimized hex reproducer); `trace-schema` exits 1 when a
+//! `fuzz-wire` exits 1 when a mutant violates a fuzz property (and
+//! prints a minimized hex reproducer); `trace-schema` exits 1 when a
 //! `--trace` dump is not valid Chrome trace-event JSON; `races` runs
 //! the instrumented parallel models under the happens-before detector
 //! and exits 1 on any unordered conflicting access pair (`--seeded`
@@ -20,16 +18,13 @@
 
 #![forbid(unsafe_code)]
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use bgpbench_check::allow::Allowlist;
-use bgpbench_check::{fuzz, lint};
+use bgpbench_check::fuzz;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => run_lint(&args[1..]),
         Some("fuzz-wire") => run_fuzz(&args[1..]),
         Some("trace-schema") => run_trace_schema(&args[1..]),
         Some("races") => run_races(&args[1..]),
@@ -50,7 +45,6 @@ fn main() -> ExitCode {
 fn print_usage() {
     eprintln!(
         "usage:\n  \
-         bgpbench-check lint [--root DIR] [--allow FILE] [--json]\n  \
          bgpbench-check fuzz-wire [--seed N] [--iters N] [--target wire|mrt]\n  \
          bgpbench-check fuzz-wire --repro HEX\n  \
          bgpbench-check trace-schema PATH\n  \
@@ -93,93 +87,6 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
-}
-
-/// The workspace root: `--root`, else the nearest ancestor of the
-/// current directory whose `Cargo.toml` declares `[workspace]`, else
-/// this crate's grandparent (checked-out layout).
-fn workspace_root(args: &[String]) -> PathBuf {
-    if let Some(root) = flag_value(args, "--root") {
-        return PathBuf::from(root);
-    }
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if manifest.is_file() {
-            if let Ok(text) = std::fs::read_to_string(&manifest) {
-                if text.contains("[workspace]") {
-                    return dir;
-                }
-            }
-        }
-        if !dir.pop() {
-            break;
-        }
-    }
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .unwrap_or_else(|| Path::new("."))
-        .to_path_buf()
-}
-
-fn run_lint(args: &[String]) -> ExitCode {
-    let root = workspace_root(args);
-    let allow_path = flag_value(args, "--allow")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| root.join("check/allow.toml"));
-
-    let allowlist = if allow_path.is_file() {
-        match std::fs::read_to_string(&allow_path) {
-            Ok(text) => match Allowlist::parse(&text) {
-                Ok(list) => list,
-                Err(err) => {
-                    eprintln!("{}: {err}", allow_path.display());
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(err) => {
-                eprintln!("{}: {err}", allow_path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        Allowlist::empty()
-    };
-
-    let report = match lint::run(&root, &allowlist) {
-        Ok(report) => report,
-        Err(err) => {
-            eprintln!("lint walk failed under {}: {err}", root.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.iter().any(|a| a == "--json") {
-        // One JSON object per finding, violations then waived, each
-        // tagged with whether the allowlist covered it. Machine
-        // consumers get every field the text diagnostic carries.
-        for violation in &report.violations {
-            println!("{}", lint::finding_json(violation, false));
-        }
-        for waived in &report.waived_findings {
-            println!("{}", lint::finding_json(waived, true));
-        }
-    } else {
-        for violation in &report.violations {
-            println!("{violation}");
-        }
-        println!(
-            "lint: {} file(s) scanned, {} violation(s), {} waived",
-            report.files_scanned,
-            report.violations.len(),
-            report.waived
-        );
-    }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }
 
 /// Runs the instrumented parallel models under the happens-before

@@ -7,6 +7,11 @@
 //! any RFC 4271 speaker reachable over TCP), measured in wall-clock
 //! time on the host machine.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "live-mode wall-clock pacing and timeouts against a real TCP peer"
+)]
+
 use std::io;
 use std::net::Ipv4Addr;
 use std::time::{Duration, Instant};

@@ -6,10 +6,16 @@
 //! pair of [`RouteMap`]s — one evaluated at import (Adj-RIB-In →
 //! Loc-RIB), one at export (Loc-RIB → Adj-RIB-Out) — built from the
 //! `bgpbench-rib` route-map DSL.
-//!
-//! This module is on the workspace lint's `no-panic` list: profiles are
-//! constructed inside measured scenario setup, and a panic there would
-//! abort a whole grid cell instead of surfacing as a result.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "profiles are built inside measured scenario setup; a panic aborts a whole grid cell instead of surfacing as a result"
+)]
 
 use bgpbench_rib::{MatchClause, PrefixList, PrefixMatch, RouteMap, RouteMapEntry, SetClause};
 use bgpbench_wire::{Asn, Prefix};

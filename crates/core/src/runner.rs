@@ -40,6 +40,11 @@
 //! assert!(xeon_tps > p3_tps);
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "per-cell wall-clock duration for grid progress reporting, not a measured quantity"
+)]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 

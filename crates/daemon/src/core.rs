@@ -14,6 +14,16 @@
 //! Adj-RIB-Out would only ever hold "the exported best, unless I am its
 //! source" (DESIGN.md §14.2), which the rows already say.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "the core runs under the one core lock for every message of every peer; a panic poisons the lock for all"
+)]
+
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -10,7 +10,7 @@
 //! feed it decoded messages and one tick per elapsed wall-clock
 //! millisecond. Every transition is total: unexpected events are FSM
 //! errors that reset the session to Idle (RFC 4271 §6.6), never panics
-//! — this module is under the workspace no-panic lint.
+//! — this module denies the no-panic lints at its top.
 //!
 //! What a driver owes the machine:
 //!
@@ -36,6 +36,16 @@
 //!   as a reset keeps the transition table total);
 //! * restart policy (when Idle re-enters Connect) belongs to the
 //!   caller via [`FsmEvent::ManualStart`].
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "the session FSM runs once per peer per tick and in the live reader threads; an unexpected event must drop the session, not the process"
+)]
 
 use std::fmt;
 

@@ -14,6 +14,16 @@
 //! That is deliberate: the endpoint exists so `curl` and a Prometheus
 //! scrape job can watch a benchmark run, not to be a web server.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "the scrape endpoint serves requests while a measurement is live; a panic kills the serving thread mid-run"
+)]
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -19,6 +19,20 @@
 //! FSM hears about the read once (the hold-timer refresh, or the event
 //! that ended it), never once per message.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "the session loop handles every message of its peer; a panic aborts the session thread instead of sending a NOTIFICATION"
+)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "RFC 4271 hold/keepalive timers on a real TCP session need the host clock"
+)]
+
 use std::io::{self, Write};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

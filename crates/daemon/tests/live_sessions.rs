@@ -1,6 +1,11 @@
 //! End-to-end tests: real speakers against the real daemon over
 //! loopback TCP — the benchmark's Fig. 1 topology with live sockets.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "loopback session tests poll the live daemon against wall-clock deadlines"
+)]
+
 use std::net::Ipv4Addr;
 use std::time::{Duration, Instant};
 

@@ -9,6 +9,11 @@
 //! concatenated): nothing reordered, merged, or split across
 //! input-UPDATE boundaries.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "loopback stream tests poll the live daemon against wall-clock deadlines"
+)]
+
 use std::io::{Read, Write};
 use std::net::Ipv4Addr;
 use std::sync::Arc;

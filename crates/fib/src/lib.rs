@@ -27,6 +27,15 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "the FIB is written once per best-route change; a panic here aborts the router mid-run"
+)]
 
 mod compressed;
 mod fib;

@@ -712,6 +712,10 @@ impl RibEngine {
             return self.apply_update_inner(peer, update, sink);
         }
         let _span = telemetry::span(SpanId::RibApplyUpdate);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "feeds MetricId::ApplyHostNs; the host-clock leg of the dual-clock design"
+        )]
         let start = std::time::Instant::now();
         let attrs_before = self.attr_store.stats();
         let mut counts = ApplyCounts::default();

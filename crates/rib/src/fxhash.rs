@@ -8,7 +8,7 @@
 //! The function is deterministic across runs and platforms of the same
 //! pointer width, which the repeatability-sensitive benchmarks rely on.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 64-bit multiply constant (derived from the golden ratio, as in
@@ -39,6 +39,10 @@ impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for chunk in chunks.by_ref() {
+            #[expect(
+                clippy::unwrap_used,
+                reason = "chunks_exact(8) guarantees every chunk is exactly 8 bytes"
+            )]
             self.add_to_hash(u64::from_le_bytes(chunk.try_into().unwrap()));
         }
         let remainder = chunks.remainder();
@@ -79,7 +83,11 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` using [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one place rib names the std map: with FxHasher, which the ban exists to enforce"
+)]
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` using [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;

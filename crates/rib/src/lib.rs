@@ -53,6 +53,19 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "the RIB applies every prefix of every UPDATE; a panic here aborts the router instead of rejecting one message"
+)]
+#![deny(
+    clippy::disallowed_types,
+    reason = "rib hashes prefix keys millions of times per run; use crate::fxhash::FxHashMap"
+)]
 
 mod adj_out;
 mod attr_store;

@@ -252,6 +252,10 @@ impl ShardedRibEngine {
             .map(|_| parking_lot::sync_check::next_cell_id())
             .collect();
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the sharded train mirrors engine.rs's ApplyHostNs instrumentation"
+        )]
         let train_start = if telemetry::enabled() {
             Some((std::time::Instant::now(), self.attr_store_stats()))
         } else {

@@ -2,66 +2,17 @@
 //! per-tick buffers, so once they and the run queues have grown to the
 //! workload's size, ticking touches the heap no more.
 //!
-//! A counting `#[global_allocator]` (per thread, counted only while a
-//! flag is set) measures it.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
+//! The shared counting `#[global_allocator]`
+//! (`tests/support/counting_alloc.rs`) measures it.
 
 use bgpbench_simnet::{
     CoreSpec, Job, Model, ProcessId, SchedClass, SimConfig, SimDuration, Simulator, TickContext,
 };
 
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-// A switch, publishing no data: `Relaxed`.
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-thread_local! {
-    // Const-initialised and without a destructor: touching it never
-    // allocates, which an allocator needs.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    if COUNTING.load(Ordering::Relaxed) {
-        ALLOCS.with(|allocs| allocs.set(allocs.get() + 1));
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counting touches only
-// a thread-local `Cell` and never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's `layout` obligations pass through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
-        // with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: `ptr` came from `System` with `layout`; the caller
-        // guarantees `new_size` is valid for its alignment.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use counting_alloc::allocations;
 
 /// Every tick, one job to each process from `on_tick`; every finished
 /// first-stage job pushes a second stage to the next process from
@@ -108,13 +59,11 @@ fn steady_state_ticks_allocate_nothing() {
     }
     let done_before = sim.process_stats(sim.model().procs[3]).jobs_completed;
 
-    let before = ALLOCS.with(Cell::get);
-    COUNTING.store(true, Ordering::Relaxed);
-    for _ in 0..MEASURED {
-        sim.step();
-    }
-    COUNTING.store(false, Ordering::Relaxed);
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let ((), allocs) = allocations(|| {
+        for _ in 0..MEASURED {
+            sim.step();
+        }
+    });
 
     let completed = sim.process_stats(sim.model().procs[3]).jobs_completed - done_before;
     assert!(

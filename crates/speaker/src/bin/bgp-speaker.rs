@@ -11,6 +11,11 @@
 //!     announce N prefixes, then withdraw them all
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "CLI progress/timeout reporting in the live speaker binary"
+)]
+
 use std::net::Ipv4Addr;
 use std::process::exit;
 use std::time::{Duration, Instant};

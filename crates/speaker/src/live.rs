@@ -1,5 +1,10 @@
 //! A real BGP speaker over TCP, for benchmarking live daemons.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "live blackbox measurement harness: latency is measured at the TCP boundary"
+)]
+
 use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};

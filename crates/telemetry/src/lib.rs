@@ -48,6 +48,54 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "a telemetry record must never abort a measured run"
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the dual-clock tracer is the workspace's one owner of the host clock"
+)]
+
+/// Declares an id enum and its catalog from one `Variant => "name"`
+/// list: the `#[repr(u16)]` enum, whose discriminant is the slot index;
+/// `ALL`, every variant in slot order; and `name()`, its dotted display
+/// name. Each variant is therefore registered exactly once by
+/// construction. A repeated variant is a duplicate definition, and a
+/// list whose length differs from the declared count does not fit
+/// `ALL`'s array type.
+macro_rules! id_catalog {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident: [$len:ident] {
+            $($(#[$vmeta:meta])* $variant:ident => $name:literal,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[repr(u16)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $ty {
+            $($(#[$vmeta])* $variant,)*
+        }
+
+        impl $ty {
+            /// Every declared id, in slot order.
+            pub const ALL: [$ty; $len] = [$($ty::$variant,)*];
+
+            /// The id's dotted display name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
 
 mod metrics;
 mod snapshot;

@@ -52,47 +52,48 @@ use crate::span::virtual_now_ns;
 /// quick run fits with room to spare.
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
-/// Trace event identities, in slot order. The catalog ([`ALL`]) must
-/// register every variant exactly once — the `bgpbench-check`
-/// `trace-once` lint enforces it, mirroring the `MetricId` rule.
-///
-/// [`ALL`]: TraceEventId::ALL
-#[repr(u16)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TraceEventId {
-    /// Benchmark phase boundary. `a` = phase number (1–3).
-    PhaseMark = 0,
-    /// A grid cell starts running. `a` = cell seed, `b` = prefixes.
-    CellStart = 1,
-    /// An update train enters the sharded RIB. `a` = updates in the
-    /// train, `b` = shard count.
-    TrainBegin = 2,
-    /// One shard's slice of a train (span, shard track). `a` = shard
-    /// id, `b` = updates routed to it.
-    ShardBusy = 3,
-    /// Deterministic merge of a train's shard outcomes (span).
-    /// `a` = updates merged, `b` = shard count.
-    TrainMerge = 4,
-    /// Merge-queue depth sample (counter): plan entries still to be
-    /// drained across all shards. `a` = depth.
-    MergeQueueDepth = 5,
-    /// One `apply_update` through the sharded engine (span, shard
-    /// track). `a` = shard id, `b` = NLRI+withdrawn prefix count.
-    ShardApply = 6,
-    /// A session FSM state transition (peer track). `a` = peer label,
-    /// `b` = `from_state << 8 | to_state` (RFC 4271 state codes).
-    FsmTransition = 7,
-    /// A fault plan fires (peer track). `a` = peer label, `b` = fault
-    /// kind.
-    FaultInjected = 8,
-    /// A session reaches Established (peer track). `a` = peer label,
-    /// `b` = the peer's AS number.
-    SessionUp = 9,
-    /// A session leaves Established (peer track). `a` = peer label.
-    SessionDown = 10,
-    /// One route-map evaluation. `a` = direction (0 = import,
-    /// 1 = export), `b` = verdict (1 = permitted, 0 = denied).
-    PolicyEval = 11,
+id_catalog! {
+    /// Trace event identities, in slot order. The discriminant is the
+    /// slot index; the catalog ([`ALL`]) and the display names are
+    /// generated from this one list, so every variant is registered
+    /// exactly once by construction, as `MetricId`'s are.
+    ///
+    /// [`ALL`]: TraceEventId::ALL
+    pub enum TraceEventId: [N_TRACE_EVENTS] {
+        /// Benchmark phase boundary. `a` = phase number (1–3).
+        PhaseMark => "harness.phase",
+        /// A grid cell starts running. `a` = cell seed, `b` = prefixes.
+        CellStart => "grid.cell_start",
+        /// An update train enters the sharded RIB. `a` = updates in the
+        /// train, `b` = shard count.
+        TrainBegin => "rib.train.begin",
+        /// One shard's slice of a train (span, shard track). `a` = shard
+        /// id, `b` = updates routed to it.
+        ShardBusy => "rib.shard.busy",
+        /// Deterministic merge of a train's shard outcomes (span).
+        /// `a` = updates merged, `b` = shard count.
+        TrainMerge => "rib.train.merge",
+        /// Merge-queue depth sample (counter): plan entries still to be
+        /// drained across all shards. `a` = depth.
+        MergeQueueDepth => "rib.merge.queue_depth",
+        /// One `apply_update` through the sharded engine (span, shard
+        /// track). `a` = shard id, `b` = NLRI+withdrawn prefix count.
+        ShardApply => "rib.shard.apply",
+        /// A session FSM state transition (peer track). `a` = peer label,
+        /// `b` = `from_state << 8 | to_state` (RFC 4271 state codes).
+        FsmTransition => "fsm.transition",
+        /// A fault plan fires (peer track). `a` = peer label, `b` = fault
+        /// kind.
+        FaultInjected => "topology.fault",
+        /// A session reaches Established (peer track). `a` = peer label,
+        /// `b` = the peer's AS number.
+        SessionUp => "session.up",
+        /// A session leaves Established (peer track). `a` = peer label.
+        SessionDown => "session.down",
+        /// One route-map evaluation. `a` = direction (0 = import,
+        /// 1 = export), `b` = verdict (1 = permitted, 0 = denied).
+        PolicyEval => "policy.evaluate",
+    }
 }
 
 /// Number of declared trace events.
@@ -125,40 +126,6 @@ pub enum TraceTrack {
 }
 
 impl TraceEventId {
-    /// Every declared trace event, in slot order.
-    pub const ALL: [TraceEventId; N_TRACE_EVENTS] = [
-        TraceEventId::PhaseMark,
-        TraceEventId::CellStart,
-        TraceEventId::TrainBegin,
-        TraceEventId::ShardBusy,
-        TraceEventId::TrainMerge,
-        TraceEventId::MergeQueueDepth,
-        TraceEventId::ShardApply,
-        TraceEventId::FsmTransition,
-        TraceEventId::FaultInjected,
-        TraceEventId::SessionUp,
-        TraceEventId::SessionDown,
-        TraceEventId::PolicyEval,
-    ];
-
-    /// The event's dotted display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceEventId::PhaseMark => "harness.phase",
-            TraceEventId::CellStart => "grid.cell_start",
-            TraceEventId::TrainBegin => "rib.train.begin",
-            TraceEventId::ShardBusy => "rib.shard.busy",
-            TraceEventId::TrainMerge => "rib.train.merge",
-            TraceEventId::MergeQueueDepth => "rib.merge.queue_depth",
-            TraceEventId::ShardApply => "rib.shard.apply",
-            TraceEventId::FsmTransition => "fsm.transition",
-            TraceEventId::FaultInjected => "topology.fault",
-            TraceEventId::SessionUp => "session.up",
-            TraceEventId::SessionDown => "session.down",
-            TraceEventId::PolicyEval => "policy.evaluate",
-        }
-    }
-
     /// How the event renders.
     pub fn kind(self) -> TraceKind {
         match self {

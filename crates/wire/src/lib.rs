@@ -40,6 +40,15 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "a malformed or hostile UPDATE must surface as a typed `WireError`, not abort the router"
+)]
 
 mod attrs;
 mod error;

@@ -3,75 +3,17 @@
 //! NLRI lists, and prepending to a path that stays within 14 ASes
 //! allocates nothing.
 //!
-//! A counting `#[global_allocator]` (per thread, counted only while a
-//! flag is set) measures it.
+//! The shared counting `#[global_allocator]`
+//! (`tests/support/counting_alloc.rs`) measures it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use bgpbench_wire::{AsPath, Asn, Message, Origin, PathAttribute, Prefix, UpdateMessage};
 
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-// A switch, publishing no data: `Relaxed`.
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-thread_local! {
-    // Const-initialised and without a destructor: touching it never
-    // allocates, which an allocator needs.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    if COUNTING.load(Ordering::Relaxed) {
-        ALLOCS.with(|allocs| allocs.set(allocs.get() + 1));
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counting touches only
-// a thread-local `Cell` and never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's `layout` obligations pass through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
-        // with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: `ptr` came from `System` with `layout`; the caller
-        // guarantees `new_size` is valid for its alignment.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-/// Runs `f`, returning its result and how many allocations it made on
-/// this thread.
-fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.with(Cell::get);
-    COUNTING.store(true, Ordering::Relaxed);
-    let value = f();
-    COUNTING.store(false, Ordering::Relaxed);
-    (value, ALLOCS.with(Cell::get) - before)
-}
+use counting_alloc::allocations;
 
 fn path(hops: u16) -> AsPath {
     AsPath::from_sequence((1..=hops).map(|n| Asn(64_500 + n)))

@@ -8,6 +8,11 @@
 //! Defaults to 1,000,000 prefixes — the size of a 2020s IPv4 global
 //! routing table.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the example reports how long each full-table cell took on the host"
+)]
+
 use bgpbench::bench::{CellSpec, Scenario};
 use bgpbench::models::xeon;
 
